@@ -66,17 +66,15 @@ _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: the command, the (validated) field, the ring
-    variables, the generator sources, and the output shape."""
+    """One resolved invocation: the (validated) field, the ring variables,
+    the generator sources, and the output shape."""
 
-    command: str
     field: Optional[CoefficientField] = None
     variables: tuple[str, ...] = ()
     generators: tuple[str, ...] = ()
     input_path: Optional[str] = None
     order: MonomialOrder = GREVLEX
     fmt: str = "text"
-    grid_path: Optional[str] = None
 
     def ring(self) -> PolyRing:
         if self.field is None or not self.variables:
@@ -128,7 +126,6 @@ def _resolve_config(args) -> RunConfig:
     if not names:
         raise UsageError("--vars needs at least one variable name")
     return RunConfig(
-        command=args.command,
         field=_parse_field(args.field),
         variables=names,
         generators=tuple(_split_polys(getattr(args, "gens", None) or "")),
@@ -428,6 +425,8 @@ def _load_grid(path: str) -> list[ReesParams]:
 
 
 def _cmd_verify_grid(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.file is None:
         raise UsageError("--file is required (one 'p=.. n=.. s=.. l=.. v=..' tuple per line)")
     grid = _load_grid(args.file)

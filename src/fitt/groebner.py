@@ -4,11 +4,14 @@ Reduction, membership, equality, elimination via block orders, saturation by
 the Rabinowitsch trick, intersection via the t-trick, and comparison of ideals
 after inverting an element.  Reduced Groebner bases are cached per
 (ideal, order); determinism comes from the normal selection strategy with
-index tie-breaks and from the uniqueness of the reduced basis.
+index tie-breaks and from the uniqueness of the reduced basis.  The strategy
+runs on a heap of pairs ranked (deg lcm, i, j): each rank is computed once,
+when the pair is formed, and the least one is popped next.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence, Union
 
 from .polyring import (
@@ -125,34 +128,33 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
 def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis: monic, pairwise interreduced, sorted ascending
     by leading monomial.  Normal selection strategy (minimal lcm total degree,
-    ties by index pair); Buchberger's coprimality and chain criteria."""
+    ties by index pair), kept as a heap-ordered pair queue ranked
+    (deg lcm, i, j); Buchberger's coprimality and chain criteria."""
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
+    # queue holds one (deg lcm, i, j) entry per pair in pending; the set
+    # answers the chain criterion's "still pending?" question
+    queue: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(f: Polynomial) -> None:
         f = f.monic(order)
         j = len(G)
         G.append(f)
-        lts.append(f.leading_term(order)[0])
+        lt = f.leading_term(order)[0]
+        lts.append(lt)
         for i in range(j):
+            heapq.heappush(queue, (mono_degree(mono_lcm(lts[i], lt)), i, j))
             pending.add((i, j))
 
     for g in generators:
         if not g.is_zero:
             push(g)
 
-    while pending:
-        best = None
-        best_rank = None
-        for i, j in pending:
-            rank = (mono_degree(mono_lcm(lts[i], lts[j])), i, j)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = (i, j)
-        i, j = best
-        pending.discard(best)
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
         lcm_ij = mono_lcm(lts[i], lts[j])
         if mono_coprime(lts[i], lts[j]):
             continue

@@ -670,22 +670,6 @@ class Polynomial:
         return f"<{print_polynomial(self)} in {self.ring}>"
 
 
-def derivative(f: Polynomial, var: Union[str, int]) -> Polynomial:
-    """Characteristic-aware formal partial derivative."""
-    return f.derivative(var)
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Exact ring arithmetic: op is "add", "sub", or "mul"."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Printing
 

@@ -287,7 +287,7 @@ def run_grid(
     jobs = [(params, policy) for params in grid]
     if workers <= 1 or len(jobs) <= 1:
         return [_evaluate_star(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(_evaluate_star, jobs))
 
 

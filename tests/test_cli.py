@@ -103,6 +103,13 @@ class TestExitCodes:
         code, _ = run_cli(["verify", "grid", "--file", "no/such/file.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workers):
+        code, _ = run_cli(
+            ["verify", "grid", "--file", str(GOLDEN_DIR / "grid_small.txt"), "--workers", workers]
+        )
+        assert code == 2
+
 
 class TestInputFile(object):
     def test_generators_from_file(self, tmp_path):

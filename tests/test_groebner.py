@@ -1,7 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from fitt.groebner import (
     Ideal,
+    buchberger,
     eliminate,
     ideal_contains,
     ideal_equal,
@@ -12,7 +16,7 @@ from fitt.groebner import (
     s_polynomial,
     saturate,
 )
-from fitt.polyring import GREVLEX, LEX, CoefficientField, PolyRing, print_polynomial
+from fitt.polyring import GREVLEX, LEX, CoefficientField, PolyRing, mono_from_pairs, print_polynomial
 
 QQ = CoefficientField(0)
 F2 = CoefficientField(2)
@@ -201,3 +205,145 @@ def test_spolynomials_of_basis_reduce_to_zero(rxy):
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
                 assert reduce(s_polynomial(gb[i], gb[j], order), gb, order).is_zero
+
+
+# ---------------------------------------------------------------------------
+# Pair selection order
+
+CYCLIC4 = ("a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1")
+
+
+def _record_spairs(monkeypatch, ring, texts, order):
+    """Run buchberger on the parsed texts, recording (lt f, lt g) for every
+    S-polynomial it forms, as printed monomials."""
+    formed = []
+
+    def recording(f, g, order=GREVLEX):
+        formed.append(tuple(
+            print_polynomial(ring.term(1, h.leading_term(order)[0]), order) for h in (f, g)
+        ))
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr("fitt.groebner.s_polynomial", recording)
+    basis = buchberger(ring, [ring.parse(t) for t in texts], order)
+    return formed, basis
+
+
+# The S-pairs that the earlier linear-scan pair selection formed, in order;
+# the heap queue must reproduce them exactly.
+CYCLIC4_SPAIRS = {
+    "grevlex": (GREVLEX, 7, [
+        ("a", "a*b"),
+        ("a", "a*b*c"),
+        ("a", "a*b*c*d"),
+        ("b^2", "b*c^2"),
+        ("b^2", "b*c*d^2"),
+        ("b*c^2", "b*c*d^2"),
+        ("b^2", "b*d^4"),
+        ("b*c^2", "c^3*d^2"),
+        ("b*c*d^2", "b*d^4"),
+        ("b*c^2", "c^2*d^4"),
+        ("c^3*d^2", "c^2*d^4"),
+    ]),
+    "lex": (LEX, 6, [
+        ("a", "a*b"),
+        ("a", "a*b*c"),
+        ("a", "a*b*c*d"),
+        ("b^2", "b*c^2"),
+        ("b^2", "b*c*d^2"),
+        ("b*c^2", "b*c*d^2"),
+        ("b^2", "b*d^4"),
+        ("b*c^2", "c^3*d^2"),
+        ("b^2", "b*c"),
+        ("b*c^2", "b*c"),
+        ("b*c*d^2", "b*c"),
+        ("b*c*d^2", "b*d^4"),
+        ("b*c^2", "c^2*d^6"),
+        ("c^3*d^2", "c^2*d^6"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC4_SPAIRS))
+def test_cyclic4_selection_order(monkeypatch, name):
+    order, basis_size, expected = CYCLIC4_SPAIRS[name]
+    ring = PolyRing(CoefficientField(7), ("a", "b", "c", "d"))
+    formed, basis = _record_spairs(monkeypatch, ring, CYCLIC4, order)
+    assert formed == expected
+    assert len(basis) == basis_size
+
+
+def test_pairs_come_out_by_lcm_degree_then_index(monkeypatch):
+    # g0 = x^3, g1 = x*y, g2 = y*z, g3 = x*z.  Ranks (deg lcm, i, j):
+    # (3,1,2) (3,1,3) (3,2,3) (4,0,1) (4,0,3) (5,0,2).  The monomial
+    # S-polynomials all vanish, so the basis never grows.  (2,3) falls to the
+    # chain criterion through g1 once (1,2) and (1,3) are done; (0,2) is
+    # coprime.  Degree beats index: (1,2) comes before (0,1).
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    formed, basis = _record_spairs(monkeypatch, ring, ("x^3", "x*y", "y*z", "x*z"), GREVLEX)
+    assert formed == [("x*y", "y*z"), ("x*y", "x*z"), ("x^3", "x*y"), ("x^3", "x*z")]
+    assert [print_polynomial(g) for g in basis] == ["y*z", "x*z", "x*y", "x^3"]
+
+
+# ---------------------------------------------------------------------------
+# Differential check against sympy (test-only dependency)
+
+def _random_generators(rng, nvars):
+    """One to three polynomials of total degree at most 3, each given as
+    {exponent tuple: integer coefficient}."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = rng.randint(-5, 5)
+        gens.append(terms)
+    return gens
+
+
+def _dense(poly, nvars):
+    out = {}
+    for m, c in poly.terms.items():
+        exps = [0] * nvars
+        for idx, e in m:
+            exps[idx] = e
+        out[tuple(exps)] = c
+    return out
+
+
+def _canonical(basis):
+    return sorted(sorted(terms.items()) for terms in basis)
+
+
+@pytest.mark.parametrize("characteristic", [0, 7, 3])
+def test_reduced_bases_match_sympy(characteristic):
+    sympy = pytest.importorskip("sympy")
+    field = CoefficientField(characteristic)
+    rng = random.Random(20220517 + characteristic)
+    nontrivial = 0
+    for trial in range(12):
+        nvars = rng.randint(1, 3)
+        names = ("x", "y", "z")[:nvars]
+        ring = PolyRing(field, names)
+        symbols = sympy.symbols(names)
+        gens = _random_generators(rng, nvars)
+        ours = [
+            ring.from_terms((mono_from_pairs(enumerate(exps)), c) for exps, c in g.items())
+            for g in gens
+        ]
+        theirs = [sympy.Poly.from_dict(g, *symbols).as_expr() for g in gens]
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            if characteristic:
+                basis = sympy.groebner(theirs, *symbols, order=name, modulus=characteristic)
+                expected = [{m: int(c) % characteristic for m, c in p.as_dict().items()}
+                            for p in basis.polys]
+            else:
+                basis = sympy.groebner(theirs, *symbols, order=name, domain="QQ")
+                expected = [{m: Fraction(str(c)) for m, c in p.as_dict().items()}
+                            for p in basis.polys]
+            got = [_dense(g, nvars) for g in Ideal(ring, ours).groebner_basis(order)]
+            assert _canonical(got) == _canonical(expected), (trial, name, gens)
+            nontrivial += len(got) > 1
+    assert nontrivial >= 6  # the seeded ideals are not all zero or the unit ideal

@@ -1,5 +1,6 @@
 import pytest
 
+import fitt.verify
 from fitt.groebner import Ideal, ideal_equal
 from fitt.kaehler import kaehler_fitting
 from fitt.rees import ReesParams, chart_presentation, rees_presentation, target_ideal
@@ -181,6 +182,30 @@ class TestRunGrid:
         parallel = run_grid(grid, workers=2)
         strip = lambda reports: [r.to_dict(include_timing=False) for r in reports]
         assert strip(serial) == strip(parallel)
+
+    def test_pool_is_capped_at_job_count(self, monkeypatch):
+        sized = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                sized.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(fitt.verify, "ProcessPoolExecutor", SerialPool)
+        grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(3, 2, 1, 1, (3, 1))]
+        reports = run_grid(grid, workers=10_000)
+        assert sized == [2]
+        assert [r.status for r in reports] == ["pass", "pass"]
 
 
 def test_evaluate_params_full_row():
