@@ -128,6 +128,118 @@ CASES = [
         1,
         True,
     ),
+    # JSON shapes of the utility and construction verbs, plus text shapes of
+    # a member query that holds, the Kaehler Fitting ideal, and passing
+    # thm41/cor42 reports
+    (
+        "gb_lex_json",
+        ["gb", "--field", "rationals", "--vars", "x,y", "--gens", "x^2 - y; y^2 - x", "--order", "lex",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "member_true",
+        ["member", "--field", "rationals", "--vars", "x,y", "--gens", "x; y", "--poly", "x*y + y^2"],
+        0,
+        True,
+    ),
+    (
+        "member_true_json",
+        ["member", "--field", "rationals", "--vars", "x,y", "--gens", "x; y", "--poly", "x*y + y^2",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "saturate_json",
+        ["saturate", "--field", "rationals", "--vars", "x,y", "--gens", "x*y", "--by", "x",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "intersect_json",
+        ["intersect", "--field", "rationals", "--vars", "x,y", "--gens", "x", "--other", "y",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "eliminate_json",
+        ["eliminate", "--field", "rationals", "--vars", "x,y", "--gens", "y - x^2; x - 1", "--block", "x",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "fitting_diag_json",
+        ["fitting", "--field", "rationals", "--vars", "a,b", "--matrix", "a,0;0,b", "--index", "1",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "kaehler_matrix_json",
+        ["kaehler", "--field", "p=2", "--vars", "x1,x2,T1,T2", "--relations", "x1^2*T2 - x2*T1",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "kaehler_index",
+        ["kaehler", "--field", "rationals", "--vars", "x,y", "--relations", "y^2 - x^3", "--index", "1"],
+        0,
+        True,
+    ),
+    (
+        "rees_print_json",
+        ["rees", "print", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "rees_chart_json",
+        ["rees", "chart", "--p", "2", "--n", "2", "--s", "1", "--l", "1", "--v", "2,1", "--r", "2",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "rees_micali_json",
+        ["rees", "micali", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "verify_thm41_text",
+        ["verify", "thm41", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1",
+         "--no-timing"],
+        0,
+        True,
+    ),
+    (
+        "verify_cor42_text",
+        ["verify", "cor42", "--p", "2", "--n", "2", "--s", "1", "--l", "1", "--v", "2,1",
+         "--no-timing"],
+        0,
+        True,
+    ),
+    (
+        "verify_image_json",
+        ["verify", "image", "--p", "2", "--n", "3", "--s", "1", "--l", "1", "--v", "2,1,1",
+         "--format", "json", "--no-timing"],
+        0,
+        True,
+    ),
+    (
+        "verify_nonnormal_json",
+        ["verify", "nonnormal", "--p", "2", "--format", "json"],
+        0,
+        True,
+    ),
     # property-suite output depends on the interpreter's Random stream, so the
     # bytes are checked run-against-run but not frozen in the repository
     (
