@@ -5,6 +5,12 @@ intersect, eliminate), module utilities (fitting, kaehler), the Rees
 constructions (rees print|chart|micali), and the verification harness
 (verify thm41|cor42|image|nonnormal|grid|props).
 
+Every subcommand is a row of `_COMMANDS`: its path, help string, handler
+and arguments.  A handler takes the parsed arguments and returns
+`(json_payload, text, exit_code)`; `main` alone reads `--format`, writes
+either the indented JSON payload or the text to stdout, and maps library
+and file errors to exit code 2.
+
 Exit codes: 0 on success or a passing verification, 1 when a verification
 fails, 2 on usage or validation errors.  All output is deterministic for a
 fixed input; per-chart timings are the one exception and are zeroed by
@@ -17,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,7 +55,6 @@ from .rees import (
 )
 from .verify import (
     POLICY_CORRECTED,
-    ChartCheck,
     VerificationReport,
     check_theorem41,
     corollary42_details,
@@ -63,42 +67,15 @@ from .verify import (
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: the (validated) field, the ring variables,
-    the generator sources, and the output shape."""
-
-    field: Optional[CoefficientField] = None
-    variables: tuple[str, ...] = ()
-    generators: tuple[str, ...] = ()
-    input_path: Optional[str] = None
-    order: MonomialOrder = GREVLEX
-    fmt: str = "text"
-
-    def ring(self) -> PolyRing:
-        if self.field is None or not self.variables:
-            raise UsageError("--field and --vars are required")
-        return PolyRing(self.field, self.variables)
-
-    def generator_texts(self) -> list[str]:
-        if self.generators and self.input_path:
-            raise UsageError("give either --gens or --input, not both")
-        if self.input_path:
-            lines = []
-            for raw in Path(self.input_path).read_text(encoding="utf-8").splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    lines.append(line)
-            return lines
-        if self.generators:
-            return list(self.generators)
-        raise UsageError("an ideal is required: pass --gens or --input")
+_Result = tuple[object, str, int]  # (json_payload, text, exit_code)
 
 
 class UsageError(ValueError):
     pass
 
+
+# ---------------------------------------------------------------------------
+# Inputs
 
 def _parse_field(spec: str) -> CoefficientField:
     spec = spec.strip().lower()
@@ -121,35 +98,40 @@ def _split_polys(text: str) -> list[str]:
     return [c for c in chunks if c]
 
 
-def _resolve_config(args) -> RunConfig:
+def _read_lines(path: str) -> list[str]:
+    """The lines of a file with '#' comments and blank lines dropped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line]
+
+
+def _ring(args) -> PolyRing:
     names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not names:
         raise UsageError("--vars needs at least one variable name")
-    return RunConfig(
-        field=_parse_field(args.field),
-        variables=names,
-        generators=tuple(_split_polys(getattr(args, "gens", None) or "")),
-        input_path=getattr(args, "input", None),
-        order=_ORDERS[getattr(args, "order", "grevlex")],
-        fmt=args.format,
-    )
+    return PolyRing(_parse_field(args.field), names)
 
 
 def _make_ideal(ring: PolyRing, texts: Sequence[str]) -> Ideal:
     return Ideal(ring, [ring.parse(t) for t in texts])
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(payload if isinstance(payload, str) else str(payload))
+def _ideal(args) -> Ideal:
+    """The ideal from --gens or --input, in the ring from --field and --vars."""
+    ring = _ring(args)
+    gens = _split_polys(args.gens or "")
+    if gens and args.input:
+        raise UsageError("give either --gens or --input, not both")
+    if args.input:
+        return _make_ideal(ring, _read_lines(args.input))
+    if gens:
+        return _make_ideal(ring, gens)
+    raise UsageError("an ideal is required: pass --gens or --input")
 
 
-def _gen_lines(gens: Sequence, order: MonomialOrder = GREVLEX) -> str:
-    if not gens:
-        return "0\n"
-    return "".join(print_polynomial(g, order) + "\n" for g in gens)
+def _algebra(args) -> PresentedAlgebra:
+    """The ring from --field and --vars modulo the --relations ideal."""
+    ring = _ring(args)
+    return PresentedAlgebra(ring, _make_ideal(ring, _split_polys(args.relations)))
 
 
 def _params_from_args(args) -> ReesParams:
@@ -161,73 +143,7 @@ def _params_from_args(args) -> ReesParams:
 
 
 def _policy_from_args(args) -> object:
-    if getattr(args, "index", None) is not None:
-        return args.index
-    return args.policy
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-
-def _cmd_gb(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    basis = _make_ideal(ring, config.generator_texts()).groebner_basis(config.order)
-    if config.fmt == "json":
-        _emit({"order": args.order, "basis": [print_polynomial(g, config.order) for g in basis]}, "json")
-    else:
-        _emit(_gen_lines(basis, config.order), "text")
-    return 0
-
-
-def _cmd_member(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    ideal = _make_ideal(ring, config.generator_texts())
-    verdict = ideal_member(ring.parse(args.poly), ideal)
-    if config.fmt == "json":
-        _emit({"member": verdict}, "json")
-    else:
-        _emit(("true" if verdict else "false") + "\n", "text")
-    return 0
-
-
-def _cmd_saturate(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    ideal = _make_ideal(ring, config.generator_texts())
-    out = saturate(ideal, ring.parse(args.by)).groebner_basis()
-    if config.fmt == "json":
-        _emit({"generators": [print_polynomial(g) for g in out]}, "json")
-    else:
-        _emit(_gen_lines(out), "text")
-    return 0
-
-
-def _cmd_intersect(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    left = _make_ideal(ring, config.generator_texts())
-    right = _make_ideal(ring, _split_polys(args.other))
-    out = ideal_intersect(left, right).groebner_basis()
-    if config.fmt == "json":
-        _emit({"generators": [print_polynomial(g) for g in out]}, "json")
-    else:
-        _emit(_gen_lines(out), "text")
-    return 0
-
-
-def _cmd_eliminate(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    ideal = _make_ideal(ring, config.generator_texts())
-    block = [v.strip() for v in args.block.split(",") if v.strip()]
-    out = eliminate(ideal, block).generators
-    if config.fmt == "json":
-        _emit({"generators": [print_polynomial(g) for g in out]}, "json")
-    else:
-        _emit(_gen_lines(out), "text")
-    return 0
+    return args.policy if args.index is None else args.index
 
 
 def _parse_matrix(ring: PolyRing, text: str) -> tuple[tuple, ...]:
@@ -241,268 +157,258 @@ def _parse_matrix(ring: PolyRing, text: str) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def _cmd_fitting(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    relations = _make_ideal(ring, _split_polys(args.relations)) if args.relations else Ideal(ring)
-    matrix = _parse_matrix(ring, args.matrix)
+# ---------------------------------------------------------------------------
+# Shared output shapes: each returns (json_payload, text, exit_code) or a
+# piece of one
+
+def _bool(flag) -> str:
+    return "true" if flag else "false"
+
+
+def _listing(gens: Sequence, order: MonomialOrder = GREVLEX) -> tuple[list[str], str]:
+    """Printed generators, and their text: one per line, "0" when there are none."""
+    printed = [print_polynomial(g, order) for g in gens]
+    return printed, "".join(p + "\n" for p in printed) or "0\n"
+
+
+def _generators(gens: Sequence, **head) -> _Result:
+    printed, text = _listing(gens)
+    return {**head, "generators": printed}, text, 0
+
+
+def _presentation(algebra: PresentedAlgebra, title: str = "", **head) -> _Result:
+    relations, text = _listing(algebra.relations.generators)
+    payload = {**head, "ambient": list(algebra.ring.variables), "relations": relations}
+    return payload, title + "ambient: " + ", ".join(algebra.ring.variables) + "\nrelations:\n" + text, 0
+
+
+def _report(report: VerificationReport, args) -> _Result:
+    """A thm41, cor42 or image report; the micali and image lines appear
+    when the report carries that check."""
+    timing = not args.no_timing
+    lines = [f"{report.params.flag_string()} policy={report.policy} index={report.index_used}"]
+    for c in report.charts:
+        suffix = f" ({c.ms} ms)" if timing else ""
+        lines.append(f"chart r={c.r}: {'equal' if c.equal else 'unequal'}{suffix}")
+    for name, flag in (("micali", report.micali_ok), ("image", report.image_ok)):
+        if flag is not None:
+            lines.append(f"{name}: {_bool(flag)}")
+    lines.append(f"status: {report.status}")
+    text = "".join(line + "\n" for line in lines)
+    return report.to_dict(include_timing=timing), text, 0 if report.status == "pass" else 1
+
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers
+
+def _cmd_gb(args) -> _Result:
+    order = _ORDERS[args.order]
+    basis, text = _listing(_ideal(args).groebner_basis(order), order)
+    return {"order": args.order, "basis": basis}, text, 0
+
+
+def _cmd_member(args) -> _Result:
+    ideal = _ideal(args)
+    verdict = ideal_member(ideal.ring.parse(args.poly), ideal)
+    return {"member": verdict}, _bool(verdict) + "\n", 0
+
+
+def _cmd_saturate(args) -> _Result:
+    ideal = _ideal(args)
+    return _generators(saturate(ideal, ideal.ring.parse(args.by)).groebner_basis())
+
+
+def _cmd_intersect(args) -> _Result:
+    left = _ideal(args)
+    right = _make_ideal(left.ring, _split_polys(args.other))
+    return _generators(ideal_intersect(left, right).groebner_basis())
+
+
+def _cmd_eliminate(args) -> _Result:
+    ideal = _ideal(args)
+    block = [v.strip() for v in args.block.split(",") if v.strip()]
+    return _generators(eliminate(ideal, block).generators)
+
+
+def _cmd_fitting(args) -> _Result:
+    algebra = _algebra(args)
+    matrix = _parse_matrix(algebra.ring, args.matrix)
     labels = tuple(f"g{i + 1}" for i in range(len(matrix)))
-    module = PresentedModule(PresentedAlgebra(ring, relations), matrix, labels)
-    out = fitting_ideal(module, args.index).generators
-    if config.fmt == "json":
-        _emit({"index": args.index, "generators": [print_polynomial(g) for g in out]}, "json")
-    else:
-        _emit(_gen_lines(out), "text")
-    return 0
+    module = PresentedModule(algebra, matrix, labels)
+    return _generators(fitting_ideal(module, args.index).generators, index=args.index)
 
 
-def _cmd_kaehler(args) -> int:
-    config = _resolve_config(args)
-    ring = config.ring()
-    relations = _make_ideal(ring, _split_polys(args.relations)) if args.relations else Ideal(ring)
-    algebra = PresentedAlgebra(ring, relations)
-    if args.index is None:
-        pres = kaehler_presentation(algebra)
-        if config.fmt == "json":
-            _emit(
-                {
-                    "rows": list(pres.row_labels),
-                    "columns": pres.relation_count,
-                    "matrix": [[print_polynomial(e) for e in row] for row in pres.matrix],
-                },
-                "json",
-            )
-        else:
-            lines = [
-                f"{label}: " + (", ".join(print_polynomial(e) for e in row) or "-") + "\n"
-                for label, row in zip(pres.row_labels, pres.matrix)
-            ]
-            _emit("".join(lines), "text")
-        return 0
-    out = kaehler_fitting(algebra, args.index).generators
-    if config.fmt == "json":
-        _emit({"index": args.index, "generators": [print_polynomial(g) for g in out]}, "json")
-    else:
-        _emit(_gen_lines(out), "text")
-    return 0
+def _cmd_kaehler(args) -> _Result:
+    algebra = _algebra(args)
+    if args.index is not None:
+        return _generators(kaehler_fitting(algebra, args.index).generators, index=args.index)
+    pres = kaehler_presentation(algebra)
+    matrix = [[print_polynomial(e) for e in row] for row in pres.matrix]
+    payload = {"rows": list(pres.row_labels), "columns": pres.relation_count, "matrix": matrix}
+    text = "".join(f"{label}: {', '.join(row) or '-'}\n" for label, row in zip(pres.row_labels, matrix))
+    return payload, text, 0
 
 
-def _cmd_rees_print(args) -> int:
-    algebra = rees_presentation(_params_from_args(args))
-    if args.format == "json":
-        _emit(
-            {
-                "ambient": list(algebra.ring.variables),
-                "relations": [print_polynomial(g) for g in algebra.relations.generators],
-            },
-            "json",
-        )
-    else:
-        text = "ambient: " + ", ".join(algebra.ring.variables) + "\nrelations:\n"
-        text += _gen_lines(algebra.relations.generators)
-        _emit(text, "text")
-    return 0
+def _cmd_rees_print(args) -> _Result:
+    return _presentation(rees_presentation(_params_from_args(args)))
 
 
-def _cmd_rees_chart(args) -> int:
+def _cmd_rees_chart(args) -> _Result:
     chart = chart_presentation(_params_from_args(args), args.r)
-    ring = chart.algebra.ring
-    if args.format == "json":
-        _emit(
-            {
-                "r": chart.r,
-                "ambient": list(ring.variables),
-                "relations": [print_polynomial(g) for g in chart.algebra.relations.generators],
-            },
-            "json",
-        )
-    else:
-        text = f"chart r={chart.r}\nambient: " + ", ".join(ring.variables) + "\nrelations:\n"
-        text += _gen_lines(chart.algebra.relations.generators)
-        _emit(text, "text")
-    return 0
+    return _presentation(chart.algebra, f"chart r={chart.r}\n", r=chart.r)
 
 
-def _cmd_rees_micali(args) -> int:
+def _cmd_rees_micali(args) -> _Result:
     params = _params_from_args(args)
     kernel = micali_kernel(params)
-    algebra = rees_presentation(params)
-    same = ideal_equal(kernel, algebra.relations)
-    if args.format == "json":
-        _emit(
-            {
-                "kernel": [print_polynomial(g) for g in kernel.generators],
-                "equals_relations": same,
-            },
-            "json",
-        )
-    else:
-        text = "kernel:\n" + _gen_lines(kernel.generators)
-        text += f"equals_relations: {'true' if same else 'false'}\n"
-        _emit(text, "text")
-    return 0
+    same = ideal_equal(kernel, rees_presentation(params).relations)
+    printed, listing = _listing(kernel.generators)
+    text = f"kernel:\n{listing}equals_relations: {_bool(same)}\n"
+    return {"kernel": printed, "equals_relations": same}, text, 0
 
 
-def _chart_lines(charts: Sequence[ChartCheck], timing: bool, word=("equal", "unequal")) -> str:
-    lines = []
-    for c in charts:
-        verdict = word[0] if c.equal else word[1]
-        suffix = f" ({c.ms} ms)" if timing else ""
-        lines.append(f"chart r={c.r}: {verdict}{suffix}\n")
-    return "".join(lines)
+def _cmd_verify_thm41(args) -> _Result:
+    return _report(check_theorem41(_params_from_args(args), _policy_from_args(args)), args)
 
 
-def _report_header(report: VerificationReport) -> str:
-    return f"{report.params.flag_string()} policy={report.policy} index={report.index_used}\n"
+def _chart_report(args, params: ReesParams, policy, details, **checks) -> _Result:
+    report = VerificationReport(
+        params, policy_label(policy), fitting_index(params, policy), list(details), **checks
+    )
+    return _report(report, args)
 
 
-def _emit_report(report: VerificationReport, args, extra_text: str = "") -> int:
-    timing = not args.no_timing
-    if args.format == "json":
-        _emit(report.to_dict(include_timing=timing), "json")
-    else:
-        text = _report_header(report) + _chart_lines(report.charts, timing) + extra_text
-        text += f"status: {report.status}\n"
-        _emit(text, "text")
-    return 0 if report.status == "pass" else 1
-
-
-def _cmd_verify_thm41(args) -> int:
-    report = check_theorem41(_params_from_args(args), _policy_from_args(args))
-    ok = "true" if report.micali_ok else "false"
-    return _emit_report(report, args, extra_text=f"micali: {ok}\n")
-
-
-def _cmd_verify_cor42(args) -> int:
-    params = _params_from_args(args)
-    policy = _policy_from_args(args)
+def _cmd_verify_cor42(args) -> _Result:
+    params, policy = _params_from_args(args), _policy_from_args(args)
     details = corollary42_details(params, policy)
-    report = VerificationReport(
-        params, policy_label(policy), fitting_index(params, policy),
-        charts=list(details), corollary_ok=all(c.equal for c in details),
-    )
-    return _emit_report(report, args)
+    return _chart_report(args, params, policy, details, corollary_ok=all(c.equal for c in details))
 
 
-def _cmd_verify_image(args) -> int:
-    params = _params_from_args(args)
-    policy = _policy_from_args(args)
+def _cmd_verify_image(args) -> _Result:
+    params, policy = _params_from_args(args), _policy_from_args(args)
     ok, details = image_details(params, policy)
-    report = VerificationReport(
-        params, policy_label(policy), fitting_index(params, policy),
-        charts=list(details), image_ok=ok,
-    )
-    return _emit_report(report, args, extra_text=f"image: {'true' if ok else 'false'}\n")
+    return _chart_report(args, params, policy, details, image_ok=ok)
 
 
-def _cmd_verify_nonnormal(args) -> int:
+def _cmd_verify_nonnormal(args) -> _Result:
     probe = nonnormality_probe(args.p, 4, 3, 4)
     verdict = probe.nonnormal
-    if args.format == "json":
-        _emit(
-            {
-                "p": args.p,
-                "integral_witness": probe.integral_witness,
-                "quotient_membership": probe.quotient_membership,
-                "sanity_control": probe.sanity_control,
-                "nonnormal": verdict,
-                "status": "pass" if verdict else "fail",
-            },
-            "json",
-        )
-    else:
-        _emit(f"non-normal: {'true' if verdict else 'false'}\n", "text")
-    return 0 if verdict else 1
+    payload = {
+        "p": args.p,
+        "integral_witness": probe.integral_witness,
+        "quotient_membership": probe.quotient_membership,
+        "sanity_control": probe.sanity_control,
+        "nonnormal": verdict,
+        "status": "pass" if verdict else "fail",
+    }
+    return payload, f"non-normal: {_bool(verdict)}\n", 0 if verdict else 1
 
 
-def _load_grid(path: str) -> list[ReesParams]:
-    grid = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            grid.append(ReesParams.parse(line))
-    return grid
+def _grid_flag(x) -> str:
+    return "-" if x is None else ("yes" if x else "NO")
 
 
-def _cmd_verify_grid(args) -> int:
+def _cmd_verify_grid(args) -> _Result:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.file is None:
         raise UsageError("--file is required (one 'p=.. n=.. s=.. l=.. v=..' tuple per line)")
-    grid = _load_grid(args.file)
+    grid = [ReesParams.parse(line) for line in _read_lines(args.file)]
     reports = run_grid(grid, _policy_from_args(args), workers=args.workers)
     timing = not args.no_timing
-    if args.format == "json":
-        _emit([r.to_dict(include_timing=timing) for r in reports], "json")
-    else:
-        def b(x):
-            return "-" if x is None else ("yes" if x else "NO")
-
-        lines = []
-        header = f"{'params':34s} {'policy':10s} {'index':>5s}  {'micali':6s} {'cor42':6s} {'image':6s} {'status':7s} charts"
-        lines.append(header + "\n")
-        for r in reports:
-            charts = " ".join(f"{c.r}:{'eq' if c.equal else 'NE'}" for c in r.charts) or "-"
-            row = (
-                f"{r.params.flag_string():34s} {r.policy:10s} {r.index_used:>5d}  "
-                f"{b(r.micali_ok):6s} {b(r.corollary_ok):6s} {b(r.image_ok):6s} {r.status:7s} {charts}"
-            )
-            if r.reason:
-                row += f"  # {r.reason}"
-            lines.append(row + "\n")
-        _emit("".join(lines), "text")
-    return 0 if all(r.status == "pass" for r in reports) else 1
-
-
-def _cmd_verify_props(args) -> int:
-    results = run_properties(args.seed)
-    ok = properties_ok(results)
-    if args.format == "json":
-        _emit(
-            {
-                "seed": args.seed,
-                "suites": [
-                    {"name": r.name, "trials": r.trials, "failures": r.failures}
-                    for r in results
-                ],
-                "status": "pass" if ok else "fail",
-            },
-            "json",
+    lines = [
+        f"{'params':34s} {'policy':10s} {'index':>5s}  {'micali':6s} {'cor42':6s} {'image':6s} {'status':7s} charts"
+    ]
+    for r in reports:
+        charts = " ".join(f"{c.r}:{'eq' if c.equal else 'NE'}" for c in r.charts) or "-"
+        row = (
+            f"{r.params.flag_string():34s} {r.policy:10s} {r.index_used:>5d}  "
+            f"{_grid_flag(r.micali_ok):6s} {_grid_flag(r.corollary_ok):6s} "
+            f"{_grid_flag(r.image_ok):6s} {r.status:7s} {charts}"
         )
-    else:
-        lines = [f"{r.name}: trials={r.trials} failures={r.failures}\n" for r in results]
-        lines.append(f"status: {'pass' if ok else 'fail'}\n")
-        _emit("".join(lines), "text")
-    return 0 if ok else 1
+        lines.append(row + (f"  # {r.reason}" if r.reason else ""))
+    payload = [r.to_dict(include_timing=timing) for r in reports]
+    text = "".join(line + "\n" for line in lines)
+    return payload, text, 0 if all(r.status == "pass" for r in reports) else 1
+
+
+def _cmd_verify_props(args) -> _Result:
+    results = run_properties(args.seed)
+    status = "pass" if properties_ok(results) else "fail"
+    payload = {
+        "seed": args.seed,
+        "suites": [{"name": r.name, "trials": r.trials, "failures": r.failures} for r in results],
+        "status": status,
+    }
+    lines = [f"{r.name}: trials={r.trials} failures={r.failures}\n" for r in results]
+    return payload, "".join(lines) + f"status: {status}\n", 0 if status == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 
-def _add_ring_args(sp, gens: bool = True) -> None:
-    sp.add_argument("--field", required=True, help="'p=<prime>' or 'rationals'")
-    sp.add_argument("--vars", required=True, help="comma-separated variable names")
-    if gens:
-        sp.add_argument("--gens", help="generators, separated by ';' or ','")
-        sp.add_argument("--input", help="file with one generator per line ('#' comments)")
+def _opt(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
 
 
-def _add_format_arg(sp) -> None:
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+_RING = (
+    _opt("--field", required=True, help="'p=<prime>' or 'rationals'"),
+    _opt("--vars", required=True, help="comma-separated variable names"),
+)
+_GENS = _RING + (
+    _opt("--gens", help="generators, separated by ';' or ','"),
+    _opt("--input", help="file with one generator per line ('#' comments)"),
+)
+_RELATIONS = _RING + (_opt("--relations", default="", help="relation ideal of the algebra"),)
+_PARAMS = (
+    _opt("--p", type=int, required=True, help="prime characteristic"),
+    _opt("--n", type=int, required=True, help="number of x variables"),
+    _opt("--s", type=int, required=True, help="first generator index"),
+    _opt("--l", type=int, required=True, help="last p-divisible index"),
+    _opt("--v", required=True, help="comma-separated exponents v_s..v_n"),
+)
+_POLICY = (
+    _opt("--policy", choices=("paper", "corrected"), default=POLICY_CORRECTED),
+    _opt("--index", type=int, help="explicit Fitting index (overrides --policy)"),
+    _opt("--no-timing", action="store_true", help="zero per-chart millisecond timings"),
+)
+_FORMAT = _opt("--format", choices=("text", "json"), default="text")
 
-
-def _add_params_args(sp) -> None:
-    sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-    sp.add_argument("--n", type=int, required=True, help="number of x variables")
-    sp.add_argument("--s", type=int, required=True, help="first generator index")
-    sp.add_argument("--l", type=int, required=True, help="last p-divisible index")
-    sp.add_argument("--v", required=True, help="comma-separated exponents v_s..v_n")
-
-
-def _add_policy_args(sp) -> None:
-    sp.add_argument("--policy", choices=("paper", "corrected"), default=POLICY_CORRECTED)
-    sp.add_argument("--index", type=int, help="explicit Fitting index (overrides --policy)")
-    sp.add_argument("--no-timing", action="store_true", help="zero per-chart millisecond timings")
+# (command path, help, handler, arguments); a row without a handler is a
+# group whose rows follow it.  Every handler row also gets --format.
+_COMMANDS = (
+    (("gb",), "reduced Groebner basis", _cmd_gb,
+     _GENS + (_opt("--order", choices=sorted(_ORDERS), default="grevlex"),)),
+    (("member",), "ideal membership", _cmd_member, _GENS + (_opt("--poly", required=True),)),
+    (("saturate",), "saturation (I : g^inf)", _cmd_saturate,
+     _GENS + (_opt("--by", required=True, help="the element g"),)),
+    (("intersect",), "ideal intersection", _cmd_intersect,
+     _GENS + (_opt("--other", required=True, help="generators of the second ideal"),)),
+    (("eliminate",), "eliminate a variable block", _cmd_eliminate,
+     _GENS + (_opt("--block", required=True, help="comma-separated variables to eliminate"),)),
+    (("fitting",), "Fitting ideal of a presented module", _cmd_fitting, _RELATIONS + (
+        _opt("--matrix", required=True, help="rows separated by ';', entries by ','"),
+        _opt("--index", type=int, required=True),
+    )),
+    (("kaehler",), "differentials: presentation or Fitting ideal", _cmd_kaehler, _RELATIONS + (
+        _opt("--index", type=int, help="when given, print Fitt_index instead of the matrix"),
+    )),
+    (("rees",), "Rees ring constructions", None, ()),
+    (("rees", "print"), None, _cmd_rees_print, _PARAMS),
+    (("rees", "chart"), None, _cmd_rees_chart,
+     _PARAMS + (_opt("--r", type=int, required=True, help="chart index"),)),
+    (("rees", "micali"), None, _cmd_rees_micali, _PARAMS),
+    (("verify",), "machine checks of the computational claims", None, ()),
+    (("verify", "thm41"), None, _cmd_verify_thm41, _PARAMS + _POLICY),
+    (("verify", "cor42"), None, _cmd_verify_cor42, _PARAMS + _POLICY),
+    (("verify", "image"), None, _cmd_verify_image, _PARAMS + _POLICY),
+    (("verify", "nonnormal"), None, _cmd_verify_nonnormal, (_opt("--p", type=int, required=True),)),
+    (("verify", "grid"), None, _cmd_verify_grid, (
+        _opt("--file", help="grid file: one parameter tuple per line"),
+        _opt("--workers", type=int, default=os.cpu_count() or 1),
+    ) + _POLICY),
+    (("verify", "props"), None, _cmd_verify_props, (_opt("--seed", type=int, default=DEFAULT_SEED),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,101 +416,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fitt",
         description="Exact Fitting-ideal computations on Rees rings, with a verification harness.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gb", help="reduced Groebner basis")
-    _add_ring_args(sp)
-    sp.add_argument("--order", choices=sorted(_ORDERS), default="grevlex")
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_gb)
-
-    sp = sub.add_parser("member", help="ideal membership")
-    _add_ring_args(sp)
-    sp.add_argument("--poly", required=True)
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_member)
-
-    sp = sub.add_parser("saturate", help="saturation (I : g^inf)")
-    _add_ring_args(sp)
-    sp.add_argument("--by", required=True, help="the element g")
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_saturate)
-
-    sp = sub.add_parser("intersect", help="ideal intersection")
-    _add_ring_args(sp)
-    sp.add_argument("--other", required=True, help="generators of the second ideal")
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_intersect)
-
-    sp = sub.add_parser("eliminate", help="eliminate a variable block")
-    _add_ring_args(sp)
-    sp.add_argument("--block", required=True, help="comma-separated variables to eliminate")
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_eliminate)
-
-    sp = sub.add_parser("fitting", help="Fitting ideal of a presented module")
-    _add_ring_args(sp, gens=False)
-    sp.add_argument("--relations", default="", help="relation ideal of the algebra")
-    sp.add_argument("--matrix", required=True, help="rows separated by ';', entries by ','")
-    sp.add_argument("--index", type=int, required=True)
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_fitting)
-
-    sp = sub.add_parser("kaehler", help="differentials: presentation or Fitting ideal")
-    _add_ring_args(sp, gens=False)
-    sp.add_argument("--relations", default="", help="relation ideal of the algebra")
-    sp.add_argument("--index", type=int, help="when given, print Fitt_index instead of the matrix")
-    _add_format_arg(sp)
-    sp.set_defaults(fn=_cmd_kaehler)
-
-    sp = sub.add_parser("rees", help="Rees ring constructions")
-    rees_sub = sp.add_subparsers(dest="rees_command", required=True)
-    for name, fn in (("print", _cmd_rees_print), ("chart", _cmd_rees_chart), ("micali", _cmd_rees_micali)):
-        rsp = rees_sub.add_parser(name)
-        _add_params_args(rsp)
-        if name == "chart":
-            rsp.add_argument("--r", type=int, required=True, help="chart index")
-        _add_format_arg(rsp)
-        rsp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("verify", help="machine checks of the computational claims")
-    ver_sub = sp.add_subparsers(dest="verify_command", required=True)
-
-    for name, fn in (("thm41", _cmd_verify_thm41), ("cor42", _cmd_verify_cor42), ("image", _cmd_verify_image)):
-        vsp = ver_sub.add_parser(name)
-        _add_params_args(vsp)
-        _add_policy_args(vsp)
-        _add_format_arg(vsp)
-        vsp.set_defaults(fn=fn)
-
-    vsp = ver_sub.add_parser("nonnormal")
-    vsp.add_argument("--p", type=int, required=True)
-    _add_format_arg(vsp)
-    vsp.set_defaults(fn=_cmd_verify_nonnormal)
-
-    vsp = ver_sub.add_parser("grid")
-    vsp.add_argument("--file", help="grid file: one parameter tuple per line")
-    vsp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    _add_policy_args(vsp)
-    _add_format_arg(vsp)
-    vsp.set_defaults(fn=_cmd_verify_grid)
-
-    vsp = ver_sub.add_parser("props")
-    vsp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format_arg(vsp)
-    vsp.set_defaults(fn=_cmd_verify_props)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, fn, arguments in _COMMANDS:
+        # a help keyword, even None, would list the verb under its group
+        sp = groups[path[:-1]].add_parser(path[-1], **({} if help_text is None else {"help": help_text}))
+        if fn is None:
+            groups[path] = sp.add_subparsers(dest=f"{path[-1]}_command", required=True)
+            continue
+        for flag, options in arguments + (_FORMAT,):
+            sp.add_argument(flag, **options)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (UsageError, ReesParamsError, PolyError, FileNotFoundError, ValueError) as err:
+        payload, text, code = args.fn(args)
+    except (UsageError, ReesParamsError, PolyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)
+    return code
 
 
 if __name__ == "__main__":

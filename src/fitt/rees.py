@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fitmod import PresentedAlgebra
 from .groebner import Ideal, eliminate, transport_ideal
-from .polyring import CoefficientField, PolyRing, is_prime
+from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
 
@@ -53,6 +53,8 @@ class ReesParams:
         for i, vi in zip(range(self.s, self.n + 1), self.v):
             if vi < 1:
                 raise ReesParamsError(f"v_{i}={vi} must be at least 1")
+            if vi > EXPONENT_CAP:
+                raise ReesParamsError(f"v_{i}={vi} exceeds the exponent cap {EXPONENT_CAP}")
             if i <= self.l:
                 if vi % self.p != 0:
                     raise ReesParamsError(f"p={self.p} must divide v_{i}={vi}")

@@ -103,6 +103,14 @@ class TestExitCodes:
         code, _ = run_cli(["verify", "grid", "--file", "no/such/file.txt"])
         assert code == 2
 
+    def test_directory_as_input_is_usage_error(self, tmp_path):
+        code, _ = run_cli(["gb", "--field", "p=2", "--vars", "x", "--input", str(tmp_path)])
+        assert code == 2
+
+    def test_directory_as_grid_file_is_usage_error(self, tmp_path):
+        code, _ = run_cli(["verify", "grid", "--file", str(tmp_path), "--workers", "1"])
+        assert code == 2
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, workers):
         code, _ = run_cli(
@@ -148,6 +156,16 @@ def test_grid_text_marks_skipped_reason():
     )
     assert code == 1
     assert "skipped" in out and "need l < n" in out
+
+
+def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_text("p=2 n=2 s=1 l=1 v=2,1\np=2 n=2 s=1 l=1 v=4294967296,1\n", encoding="utf-8")
+    code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
+    rows = out.splitlines()[1:]
+    assert code == 1 and len(rows) == 2
+    assert " pass " in rows[0]
+    assert "skipped" in rows[1] and rows[1].endswith("# v_1=4294967296 exceeds the exponent cap 2147483647")
 
 
 def test_props_text_reports_all_suites():

@@ -1,7 +1,7 @@
 import pytest
 
 from fitt.groebner import Ideal, ideal_equal, ideal_member
-from fitt.polyring import CoefficientField
+from fitt.polyring import EXPONENT_CAP, CoefficientField
 from fitt.rees import (
     ReesParams,
     ReesParamsError,
@@ -51,6 +51,12 @@ class TestReesParams:
         with pytest.raises(ReesParamsError, match="power of p"):
             params.validate(strict_p_powers=True)
         ReesParams(2, 2, 1, 1, (8, 1)).validate(strict_p_powers=True)
+
+    def test_exponent_above_the_cap_is_a_validation_error(self):
+        # 2^31 - 1 is prime, so v_1 = EXPONENT_CAP itself is a valid shape
+        ReesParams(EXPONENT_CAP, 2, 1, 1, (EXPONENT_CAP, 1)).validate()
+        with pytest.raises(ReesParamsError, match=r"^v_1=2147483648 exceeds the exponent cap 2147483647$"):
+            ReesParams(2, 2, 1, 1, (EXPONENT_CAP + 1, 1)).validate()
 
 
 class TestPresentation:

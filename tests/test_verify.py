@@ -171,6 +171,12 @@ class TestRunGrid:
         assert [r.status for r in reports] == ["pass", "skipped"]
         assert "l < n" in reports[1].reason
 
+    def test_exponent_above_the_cap_is_skipped_not_fatal(self):
+        grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(2, 2, 1, 1, (2**32, 1))]
+        reports = run_grid(grid)
+        assert [r.status for r in reports] == ["pass", "skipped"]
+        assert reports[1].reason == "v_1=4294967296 exceeds the exponent cap 2147483647"
+
     def test_order_follows_input(self):
         grid = [ReesParams(2, 3, 2, 2, (2, 1)), ReesParams(2, 2, 1, 1, (2, 1))]
         reports = run_grid(grid)
