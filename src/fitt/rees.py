@@ -155,33 +155,25 @@ def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Pre
     return PresentedAlgebra(ring, Ideal(ring, gens))
 
 
-def ci_chart_ring(field: CoefficientField, n: int, powers: Powers, r: int) -> PolyRing:
+def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
+    """Degree-zero localization at g = x_r^{e_r}T, from its closed form.  The
+    Rees ring A = k[x, T]/J is graded with T_r of degree one, so A[1/T_r]_0 is
+    A/(T_r - 1), and U_i is the image of T_i: the fraction x_i^{e_i}T / g.
+    Setting T_r = 1 and T_i = U_i turns the exchange binomials of J that
+    involve r into x_i^{e_i} - U_i*x_r^{e_r} (i != r), and these generate
+    the images of the others:
+    x_i^{e_i}U_j - x_j^{e_j}U_i = U_j(x_i^{e_i} - U_i x_r^{e_r}) - U_i(x_j^{e_j} - U_j x_r^{e_r}).
+    The relations are stored as their reduced grevlex basis."""
+    _check_powers(n, powers)
+    exponents = dict(powers)
+    if r not in exponents:
+        raise ReesParamsError(f"chart index {r} is not a generator index")
     names = [f"x{i}" for i in range(1, n + 1)]
     names.extend(f"U{i}" for i, _ in powers if i != r)
-    return PolyRing(field, names)
-
-
-def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
-    """Degree-zero localization at g = x_r^{e_r}T, by elimination: adjoin w
-    with w*T_r = 1 and U_i = w*T_i, then eliminate every T and w.  U_i is the
-    degree-zero fraction x_i^{e_i}T / g."""
-    _check_powers(n, powers)
-    if r not in {i for i, _ in powers}:
-        raise ReesParamsError(f"chart index {r} is not a generator index")
-    rees = ci_rees_presentation(field, n, powers)
-    big = rees.ring.extended(
-        [f"U{i}" for i, _ in powers if i != r] + [rees.ring.fresh_name("w")]
-    )
-    w = big.variable(big.variables[-1])
-    gens = [g.transport(big) for g in rees.relations.generators]
-    gens.append(w * big.variable(f"T{r}") - big.one())
-    for i, _ in powers:
-        if i != r:
-            gens.append(big.variable(f"U{i}") - w * big.variable(f"T{i}"))
-    block = [f"T{i}" for i, _ in powers] + [big.variables[-1]]
-    contracted = eliminate(Ideal(big, gens), block)
-    chart_ring = ci_chart_ring(field, n, powers, r)
-    return ChartAlgebra(r, PresentedAlgebra(chart_ring, transport_ideal(contracted, chart_ring)))
+    ring = PolyRing(field, names)
+    xr = ring.variable(f"x{r}") ** exponents[r]
+    gens = [ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r]
+    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, Ideal(ring, gens).groebner_basis())))
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:

@@ -28,7 +28,7 @@ from .groebner import (
     transport_ideal,
 )
 from .kaehler import kaehler_fitting
-from .polyring import CoefficientField, PolyRing
+from .polyring import CoefficientField, ExponentOverflowError, PolyRing
 from .rees import (
     ChartAlgebra,
     ReesParams,
@@ -260,16 +260,17 @@ def check_nonnormal(p: int) -> bool:
 
 def evaluate_params(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> VerificationReport:
     """Full verification row: theorem charts, relation kernel, corollary
-    charts, and image = center."""
+    charts, and image = center.  An invalid tuple, or one whose computation
+    needs an exponent above the cap, is reported as skipped."""
     try:
         params.validate()
-    except ReesParamsError as err:
+        report = check_theorem41(params, policy)
+        report.corollary_ok = check_corollary42(params, policy)
+        report.image_ok = check_image_equals_center(params, policy)
+    except (ReesParamsError, ExponentOverflowError) as err:
         return VerificationReport(
             params, policy_label(policy), 0, reason=str(err)
         )
-    report = check_theorem41(params, policy)
-    report.corollary_ok = check_corollary42(params, policy)
-    report.image_ok = check_image_equals_center(params, policy)
     return report
 
 
@@ -283,7 +284,8 @@ def run_grid(
     workers: int = 1,
 ) -> list[VerificationReport]:
     """Evaluate each tuple independently; report order follows input order.
-    Invalid tuples are reported as skipped, never aborting the run."""
+    Invalid tuples and exponent overflows are reported as skipped, never
+    aborting the run."""
     jobs = [(params, policy) for params in grid]
     if workers <= 1 or len(jobs) <= 1:
         return [_evaluate_star(job) for job in jobs]

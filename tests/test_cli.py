@@ -111,6 +111,13 @@ class TestExitCodes:
         code, _ = run_cli(["verify", "grid", "--file", str(tmp_path), "--workers", "1"])
         assert code == 2
 
+    def test_exponent_overflow_in_a_single_check_is_exit_two(self):
+        code, _ = run_cli(
+            ["verify", "thm41", "--p", "2", "--n", "4", "--s", "1", "--l", "2",
+             "--v", "2147483646,2147483646,1,1"]
+        )
+        assert code == 2
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, workers):
         code, _ = run_cli(
@@ -159,6 +166,8 @@ def test_grid_text_marks_skipped_reason():
 
 
 def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
+    # an exponent above the cap in the tuple itself, then one that only the
+    # computation reaches (v_1 + v_2 in a Buchberger step)
     path = tmp_path / "grid.txt"
     path.write_text("p=2 n=2 s=1 l=1 v=2,1\np=2 n=2 s=1 l=1 v=4294967296,1\n", encoding="utf-8")
     code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
@@ -166,6 +175,16 @@ def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
     assert code == 1 and len(rows) == 2
     assert " pass " in rows[0]
     assert "skipped" in rows[1] and rows[1].endswith("# v_1=4294967296 exceeds the exponent cap 2147483647")
+
+    path.write_text(
+        "p=2 n=2 s=1 l=1 v=2,1\np=2 n=4 s=1 l=2 v=2147483646,2147483646,1,1\np=2 n=2 s=1 l=1 v=2,1\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
+    rows = out.splitlines()[1:]
+    assert code == 1 and len(rows) == 3
+    assert " pass " in rows[0] and " pass " in rows[2]
+    assert "skipped" in rows[1] and rows[1].endswith("# exponent 4294967292 exceeds cap 2147483647")
 
 
 def test_props_text_reports_all_suites():

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
-from fitt.groebner import Ideal, ideal_equal, ideal_member
-from fitt.polyring import EXPONENT_CAP, CoefficientField
+from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member, transport_ideal
+from fitt.polyring import EXPONENT_CAP, CoefficientField, PolyRing
 from fitt.rees import (
     ReesParams,
     ReesParamsError,
@@ -173,6 +175,72 @@ class TestCharts:
             )
             for rel in chart.algebra.relations.generators:
                 assert ideal_member(rel.substitute(big, mapping), localized)
+
+
+def chart_by_elimination(field, n, powers, r):
+    """Oracle for the closed-form chart, by elimination: adjoin w with
+    w*T_r = 1 and U_i = w*T_i to the Rees presentation, then eliminate every
+    T and w.  Returns (chart ring, relation ideal)."""
+    rees = ci_rees_presentation(field, n, powers)
+    big = rees.ring.extended([f"U{i}" for i, _ in powers if i != r] + [rees.ring.fresh_name("w")])
+    w = big.variable(big.variables[-1])
+    gens = [g.transport(big) for g in rees.relations.generators]
+    gens.append(w * big.variable(f"T{r}") - big.one())
+    for i, _ in powers:
+        if i != r:
+            gens.append(big.variable(f"U{i}") - w * big.variable(f"T{i}"))
+    block = [f"T{i}" for i, _ in powers] + [big.variables[-1]]
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"U{i}" for i, _ in powers if i != r]
+    chart_ring = PolyRing(field, names)
+    return chart_ring, transport_ideal(eliminate(Ideal(big, gens), block), chart_ring)
+
+
+def _shipped_grid():
+    path = Path(__file__).resolve().parent.parent / "grids" / "default.txt"
+    lines = (raw.split("#", 1)[0].strip() for raw in path.read_text(encoding="utf-8").splitlines())
+    return [ReesParams.parse(line) for line in lines if line]
+
+
+# larger tuples, n = 5..7 and p = 5, 7, with l = n - 1
+STRETCH_GRID = [
+    ReesParams.parse(text)
+    for text in (
+        "p=5 n=5 s=1 l=4 v=5,5,5,5,1",
+        "p=7 n=5 s=1 l=4 v=7,7,7,7,1",
+        "p=5 n=5 s=2 l=4 v=25,5,5,1",
+        "p=5 n=6 s=2 l=5 v=5,5,5,5,1",
+        "p=7 n=6 s=2 l=5 v=7,7,7,7,1",
+        "p=5 n=7 s=3 l=6 v=5,5,5,5,1",
+        "p=7 n=7 s=4 l=6 v=7,7,7,1",
+    )
+]
+
+
+class TestClosedFormAgainstElimination:
+    """The closed-form chart has the variables and the very relation
+    generators, in order, that elimination from the Rees ring gives."""
+
+    @pytest.mark.parametrize(
+        "params", _shipped_grid() + STRETCH_GRID, ids=lambda params: params.flag_string()
+    )
+    def test_every_chart_of_the_grids(self, params):
+        for r in range(params.s, params.n + 1):
+            chart = chart_presentation(params, r)
+            ring, relations = chart_by_elimination(params.field, params.n, params.powers(), r)
+            assert chart.algebra.ring.variables == ring.variables
+            assert chart.algebra.relations.generators == relations.generators
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_nonnormality_chart(self, p):
+        field, powers = CoefficientField(p), ((3, p), (4, p * p))
+        chart = ci_chart_presentation(field, 4, powers, 3)
+        ring, relations = chart_by_elimination(field, 4, powers, 3)
+        assert chart.algebra.ring.variables == ring.variables
+        assert chart.algebra.relations.generators == relations.generators
+
+    def test_chart_index_outside_the_generators_is_refused(self):
+        with pytest.raises(ReesParamsError, match="chart index 2 is not a generator index"):
+            ci_chart_presentation(CoefficientField(2), 4, ((3, 2), (4, 4)), 2)
 
 
 class TestMicali:

@@ -177,6 +177,21 @@ class TestRunGrid:
         assert [r.status for r in reports] == ["pass", "skipped"]
         assert reports[1].reason == "v_1=4294967296 exceeds the exponent cap 2147483647"
 
+    def test_exponent_overflow_in_a_check_is_skipped_not_fatal(self):
+        # v_1 + v_2 overflows the cap inside thm41 and cor42; the rows after it still run
+        passing = ReesParams(2, 2, 1, 1, (2, 1))
+        grid = [passing, ReesParams(2, 4, 1, 2, (2147483646, 2147483646, 1, 1)), passing]
+        reports = run_grid(grid)
+        assert [r.status for r in reports] == ["pass", "skipped", "pass"]
+        assert reports[1].reason == "exponent 4294967292 exceeds cap 2147483647"
+        assert reports[1].index_used == 0 and reports[1].charts == []
+
+    def test_near_cap_exponents_pass_with_closed_form_charts(self):
+        # v_1 + v_2 is above the cap, and no check on this tuple may form it
+        report = evaluate_params(ReesParams(2, 3, 1, 2, (2147483646, 2147483646, 1)))
+        assert report.status == "pass"
+        assert report.micali_ok and report.corollary_ok and report.image_ok
+
     def test_order_follows_input(self):
         grid = [ReesParams(2, 3, 2, 2, (2, 1)), ReesParams(2, 2, 1, 1, (2, 1))]
         reports = run_grid(grid)
