@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, eliminate, transport_ideal
+from .groebner import Ideal, saturate
 from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
@@ -120,13 +120,6 @@ class ChartAlgebra:
 # ---------------------------------------------------------------------------
 # General monomial complete intersections
 
-def ci_ambient_ring(field: CoefficientField, n: int, powers: Powers) -> PolyRing:
-    """Ambient ring of the Rees presentation: x_1..x_n plus one T_i per generator."""
-    names = [f"x{i}" for i in range(1, n + 1)]
-    names.extend(f"T{i}" for i, _ in powers)
-    return PolyRing(field, names)
-
-
 def _check_powers(n: int, powers: Powers) -> None:
     seen = set()
     for i, e in powers:
@@ -141,9 +134,12 @@ def _check_powers(n: int, powers: Powers) -> None:
 
 def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> PresentedAlgebra:
     """Rees ring of (x_i^{e_i} : (i, e_i) in powers): T_i stands for x_i^{e_i}T,
-    relations are the exchange binomials x_i^{e_i}*T_j - x_j^{e_j}*T_i."""
+    relations are the exchange binomials x_i^{e_i}*T_j - x_j^{e_j}*T_i.  The
+    ambient ring has x_1..x_n and then one T_i per generator."""
     _check_powers(n, powers)
-    ring = ci_ambient_ring(field, n, powers)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    names.extend(f"T{i}" for i, _ in powers)
+    ring = PolyRing(field, names)
     gens = []
     for a in range(len(powers)):
         i, ei = powers[a]
@@ -177,18 +173,15 @@ def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: in
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:
-    """Kernel of k[x, T-block] -> R[t], T_i -> x_i^{e_i} * t, by eliminating t.
-    Micali's theorem says this kernel equals the exchange-binomial ideal."""
-    _check_powers(n, powers)
-    ring = ci_ambient_ring(field, n, powers)
-    aux = ring.fresh_name("t")
-    big = ring.extended([aux])
-    t = big.variable(aux)
-    gens = []
-    for i, e in powers:
-        gens.append(big.variable(f"T{i}") - big.variable(f"x{i}") ** e * t)
-    kernel = eliminate(Ideal(big, gens), [aux])
-    return transport_ideal(kernel, ring)
+    """Kernel of k[x, T-block] -> R[t], T_i -> x_i^{e_i} * t, as J : x_i^infinity
+    for the exchange-binomial ideal J and the first generator index i.  J
+    presents Sym(I) (a regular sequence has only Koszul syzygies), Sym(I) and
+    the Rees ring agree once x_i^{e_i} is inverted, and the Rees ring is a
+    domain.  Micali's theorem says this kernel equals J."""
+    relations = ci_rees_presentation(field, n, powers).relations
+    if not powers:
+        return relations
+    return saturate(relations, relations.ring.variable(f"x{powers[0][0]}"))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +225,6 @@ def chart_presentation(params: ReesParams, r: int) -> ChartAlgebra:
 
 
 def micali_kernel(params: ReesParams) -> Ideal:
-    """Relation kernel computed by elimination; contracted to the Rees ambient ring."""
+    """Relation kernel in the Rees ambient ring, computed by saturation."""
     params.validate()
     return ci_micali_kernel(params.field, params.n, params.powers())

@@ -111,6 +111,11 @@ class TestExitCodes:
         code, _ = run_cli(["verify", "grid", "--file", str(tmp_path), "--workers", "1"])
         assert code == 2
 
+    def test_nonnormal_probe_rejects_a_non_prime_p(self, capsys):
+        code, out = run_cli(["verify", "nonnormal", "--p", "0"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: p=0 is not prime\n"
+
     def test_exponent_overflow_in_a_single_check_is_exit_two(self):
         code, _ = run_cli(
             ["verify", "thm41", "--p", "2", "--n", "4", "--s", "1", "--l", "2",

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member, transport_ideal
@@ -16,6 +14,8 @@ from fitt.rees import (
     rees_presentation,
     target_ideal,
 )
+
+from grid_cases import STRETCH_GRID, shipped_grid
 
 
 class TestReesParams:
@@ -195,33 +195,12 @@ def chart_by_elimination(field, n, powers, r):
     return chart_ring, transport_ideal(eliminate(Ideal(big, gens), block), chart_ring)
 
 
-def _shipped_grid():
-    path = Path(__file__).resolve().parent.parent / "grids" / "default.txt"
-    lines = (raw.split("#", 1)[0].strip() for raw in path.read_text(encoding="utf-8").splitlines())
-    return [ReesParams.parse(line) for line in lines if line]
-
-
-# larger tuples, n = 5..7 and p = 5, 7, with l = n - 1
-STRETCH_GRID = [
-    ReesParams.parse(text)
-    for text in (
-        "p=5 n=5 s=1 l=4 v=5,5,5,5,1",
-        "p=7 n=5 s=1 l=4 v=7,7,7,7,1",
-        "p=5 n=5 s=2 l=4 v=25,5,5,1",
-        "p=5 n=6 s=2 l=5 v=5,5,5,5,1",
-        "p=7 n=6 s=2 l=5 v=7,7,7,7,1",
-        "p=5 n=7 s=3 l=6 v=5,5,5,5,1",
-        "p=7 n=7 s=4 l=6 v=7,7,7,1",
-    )
-]
-
-
 class TestClosedFormAgainstElimination:
     """The closed-form chart has the variables and the very relation
     generators, in order, that elimination from the Rees ring gives."""
 
     @pytest.mark.parametrize(
-        "params", _shipped_grid() + STRETCH_GRID, ids=lambda params: params.flag_string()
+        "params", shipped_grid() + STRETCH_GRID, ids=lambda params: params.flag_string()
     )
     def test_every_chart_of_the_grids(self, params):
         for r in range(params.s, params.n + 1):
@@ -243,6 +222,40 @@ class TestClosedFormAgainstElimination:
             ci_chart_presentation(CoefficientField(2), 4, ((3, 2), (4, 4)), 2)
 
 
+def micali_kernel_by_elimination(field, n, powers):
+    """Oracle for the saturation kernel: adjoin t, map T_i to x_i^{e_i}*t
+    and eliminate t.  Returns the kernel in the Rees ambient ring."""
+    ring = ci_rees_presentation(field, n, powers).ring
+    aux = ring.fresh_name("t")
+    big = ring.extended([aux])
+    t = big.variable(aux)
+    gens = [big.variable(f"T{i}") - big.variable(f"x{i}") ** e * t for i, e in powers]
+    return transport_ideal(eliminate(Ideal(big, gens), [aux]), ring)
+
+
+KERNEL_CASES = (
+    [(params.field, params.n, params.powers()) for params in shipped_grid() + STRETCH_GRID]
+    + [(CoefficientField(3), 3, ((2, 3), (3, 9)))]
+    + [(CoefficientField(p), 4, ((3, p), (4, p * p))) for p in (2, 3)]
+)
+
+
+class TestSaturationKernelAgainstElimination:
+    """The saturation kernel has the ring and the very generators, in order,
+    that eliminating t gives."""
+
+    @pytest.mark.parametrize(
+        "field,n,powers",
+        KERNEL_CASES,
+        ids=[f"p={field.characteristic} n={n} powers={powers}" for field, n, powers in KERNEL_CASES],
+    )
+    def test_kernel(self, field, n, powers):
+        kernel = ci_micali_kernel(field, n, powers)
+        expected = micali_kernel_by_elimination(field, n, powers)
+        assert kernel.ring == expected.ring
+        assert kernel.generators == expected.generators
+
+
 class TestMicali:
     def test_single_pair_kernel(self):
         params = ReesParams(2, 2, 1, 1, (2, 1))
@@ -256,6 +269,9 @@ class TestMicali:
     def test_single_generator_kernel_is_zero(self):
         kernel = ci_micali_kernel(CoefficientField(2), 2, ((1, 4),))
         assert kernel.is_zero()
+        # no generator at all: there is nothing to saturate at, and the kernel is zero
+        kernel = ci_micali_kernel(CoefficientField(2), 2, ())
+        assert kernel.ring.variables == ("x1", "x2") and kernel.is_zero()
 
     def test_generalized_kernel_matches_relations(self):
         field = CoefficientField(3)

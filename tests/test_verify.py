@@ -1,7 +1,7 @@
 import pytest
 
 import fitt.verify
-from fitt.groebner import Ideal, ideal_equal
+from fitt.groebner import Ideal, ideal_equal, localized_equal
 from fitt.kaehler import kaehler_fitting
 from fitt.rees import ReesParams, chart_presentation, rees_presentation, target_ideal
 from fitt.verify import (
@@ -20,6 +20,8 @@ from fitt.verify import (
     nonnormality_probe,
     run_grid,
 )
+
+from grid_cases import STRETCH_GRID, shipped_grid
 
 
 class TestIndexPolicies:
@@ -70,6 +72,40 @@ class TestTheorem41:
         bad = ReesParams(2, 3, 1, 3, (2, 2, 2))
         with pytest.raises(Exception):
             check_theorem41(bad)
+
+
+def theorem41_by_saturation(params, policy):
+    """Oracle for the chart check of thm41: the Fitting ideal of the Rees
+    ring at the global index against the target ideal, compared after
+    inverting each T_r as equality of the two T_r-saturations.  Returns the
+    chart vector and the status it gives when the kernel check passes."""
+    algebra = rees_presentation(params)
+    fitt = kaehler_fitting(algebra, fitting_index(params, policy))
+    target = target_ideal(params)
+    charts = [
+        localized_equal(fitt, target, algebra.ring.variable(f"T{r}"))
+        for r in range(params.s, params.n + 1)
+    ]
+    return charts, "pass" if all(charts) else "fail"
+
+
+class TestTheorem41AgainstSaturation:
+    """The chart check of thm41 gives the chart vector and the status that
+    the saturation route on the Rees ring gives."""
+
+    @pytest.mark.parametrize("params", shipped_grid(), ids=lambda params: params.flag_string())
+    def test_default_grid_at_every_policy(self, params):
+        for policy in ["corrected", "paper"] + list(range(-1, 11)):
+            report = check_theorem41(params, policy)
+            expected = theorem41_by_saturation(params, policy)
+            assert ([c.equal for c in report.charts], report.status) == expected, policy
+
+    @pytest.mark.parametrize("params", STRETCH_GRID, ids=lambda params: params.flag_string())
+    def test_stretch_grid(self, params):
+        report = check_theorem41(params, "corrected")
+        assert ([c.equal for c in report.charts], report.status) == theorem41_by_saturation(
+            params, "corrected"
+        )
 
 
 class TestCorollary42:
