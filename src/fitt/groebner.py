@@ -5,8 +5,16 @@ the Rabinowitsch trick, intersection via the t-trick, and comparison of ideals
 after inverting an element.  Reduced Groebner bases are cached per
 (ideal, order); determinism comes from the normal selection strategy with
 index tie-breaks and from the uniqueness of the reduced basis.  The strategy
-runs on a heap of pairs ranked (deg lcm, i, j): each rank is computed once,
-when the pair is formed, and the least one is popped next.
+runs on a heap of pairs ranked (deg lcm, i, j): each rank and lcm is computed
+once, when the pair is formed, and the least one is popped next.
+
+Leading terms are memoized per polynomial and order (see
+Polynomial.leading_term), and reduce computes each monomial's order key once
+per call.  An elimination, saturation or intersection arrives with
+its grevlex basis cached: every elimination uses inner grevlex, and by the
+Elimination Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+section 3.1) the block-free part of the reduced block-order basis is the
+reduced grevlex basis of the elimination ideal.
 """
 
 from __future__ import annotations
@@ -84,13 +92,15 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
         if g.ring != ring:
             raise RingMismatchError(f"reducer in {g.ring}, dividend in {ring}")
         if not g.is_zero:
-            lm = max(g.terms, key=key)
-            divisors.append((lm, g.terms[lm], g.terms))
+            lm, lc = g.leading_term(order)
+            divisors.append((lm, lc, g.terms))
     p = ring.field.characteristic
     work = dict(f.terms)
+    # each monomial's order key, computed once, when it first enters work
+    keys = {m: key(m) for m in work}
     remainder: dict[Monomial, object] = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=keys.__getitem__)
         c = work[m]
         for lm, lc, gterms in divisors:
             if mono_divides(lm, m):
@@ -103,6 +113,8 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
                         v %= p
                     if v:
                         work[t] = v
+                        if t not in keys:
+                            keys[t] = key(t)
                     else:
                         work.pop(t, None)
                 break
@@ -113,13 +125,32 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """The S-polynomial, with both leading terms cancelled."""
+    """The S-polynomial (lcm/lt(f))*f - (lcm/lt(g))*g, with both leading terms
+    cancelled, built in one pass over the two term maps."""
     lmf, lcf = f.leading_term(order)
     lmg, lcg = g.leading_term(order)
+    ring = f.ring
+    if g.ring != ring:
+        raise RingMismatchError(f"operands in {ring} and {g.ring}")
+    field = ring.field
+    p = field.characteristic
     lcm = mono_lcm(lmf, lmg)
-    uf = f.ring.term(f.ring.field.inverse(lcf), mono_div(lcm, lmf))
-    ug = f.ring.term(f.ring.field.inverse(lcg), mono_div(lcm, lmg))
-    return uf * f - ug * g
+    qf, af = mono_div(lcm, lmf), field.inverse(lcf)
+    qg, ag = mono_div(lcm, lmg), field.inverse(lcg)
+    if p:
+        out = {mono_mul(m, qf): c * af % p for m, c in f.terms.items()}
+    else:
+        out = {mono_mul(m, qf): c * af for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        t = mono_mul(m, qg)
+        v = out.get(t, 0) - c * ag
+        if p:
+            v %= p
+        if v:
+            out[t] = v
+        else:
+            out.pop(t, None)
+    return Polynomial(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +164,10 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
-    # queue holds one (deg lcm, i, j) entry per pair in pending; the set
+    # queue holds one (deg lcm, i, j, lcm) entry per pair in pending; (i, j)
+    # is unique, so the lcm rides along without ever being compared.  The set
     # answers the chain criterion's "still pending?" question
-    queue: list[tuple[int, int, int]] = []
+    queue: list[tuple[int, int, int, Monomial]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(f: Polynomial) -> None:
@@ -145,7 +177,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         lt = f.leading_term(order)[0]
         lts.append(lt)
         for i in range(j):
-            heapq.heappush(queue, (mono_degree(mono_lcm(lts[i], lt)), i, j))
+            lcm = mono_lcm(lts[i], lt)
+            heapq.heappush(queue, (mono_degree(lcm), i, j, lcm))
             pending.add((i, j))
 
     for g in generators:
@@ -153,9 +186,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
             push(g)
 
     while queue:
-        _, i, j = heapq.heappop(queue)
+        _, i, j, lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
-        lcm_ij = mono_lcm(lts[i], lts[j])
         if mono_coprime(lts[i], lts[j]):
             continue
         skip = False
@@ -215,7 +247,9 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     """Generators of I intersected with the subring on the non-block variables,
     via a block order with the block largest.  The result stays in the ambient
-    ring; its generators are free of block variables."""
+    ring; its generators are free of block variables.  They are the block-free
+    elements of the reduced block-order basis, so by the Elimination Theorem
+    they are the reduced grevlex basis of the result, which is cached."""
     ring = I.ring
     indices = frozenset(v if isinstance(v, int) else ring.index(v) for v in block)
     if not indices:
@@ -226,7 +260,18 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
         lm, _ = g.leading_term(order)
         if all(idx not in indices for idx, _ in lm):
             kept.append(g)
-    return Ideal(ring, kept)
+    return _with_grevlex_basis(ring, kept)
+
+
+def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
+    """The ideal of ring generated by basis, a reduced grevlex basis listed
+    ascending, with that basis cached.  The elements may also live in an
+    extension of ring by variables placed last that none of them uses: every
+    index then carries over, and so do the grevlex order and the basis."""
+    gens = [g if g.ring == ring else Polynomial(ring, g.terms) for g in basis]
+    ideal = Ideal(ring, gens)
+    ideal._gb[GREVLEX] = ideal.generators
+    return ideal
 
 
 def transport_ideal(I: Ideal, target: PolyRing) -> Ideal:
@@ -236,7 +281,8 @@ def transport_ideal(I: Ideal, target: PolyRing) -> Ideal:
 
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity), by adjoining a fresh variable w, forming I + (w*g - 1),
-    and eliminating w."""
+    and eliminating w.  w comes last, so the elimination's cached basis
+    carries back to the ring of I."""
     ring = I.ring
     if g.ring != ring:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
@@ -250,11 +296,12 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     gens = [h.transport(ext) for h in I.generators]
     gens.append(w * g.transport(ext) - ext.one())
     sat = eliminate(Ideal(ext, gens), [aux])
-    return transport_ideal(sat, ring)
+    return _with_grevlex_basis(ring, sat.generators)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I intersect J, by eliminating t from t*I + (1-t)*J."""
+    """I intersect J, by eliminating t from t*I + (1-t)*J.  t comes last, so
+    the elimination's cached basis carries back to the ring of I and J."""
     ring = I.ring
     if J.ring != ring:
         raise RingMismatchError(f"ideals in {ring} and {J.ring}")
@@ -265,7 +312,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     gens = [t * h.transport(ext) for h in I.generators]
     gens.extend(one_minus_t * h.transport(ext) for h in J.generators)
     meet = eliminate(Ideal(ext, gens), [aux])
-    return transport_ideal(meet, ring)
+    return _with_grevlex_basis(ring, meet.generators)
 
 
 def localized_equal(I: Ideal, J: Ideal, g: Polynomial) -> bool:

@@ -382,7 +382,7 @@ class PolyRing:
             raise UnknownVariableError(f"unknown variable {name!r} in {self}") from None
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.variables == other.variables
@@ -451,14 +451,18 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from monomials to nonzero coefficients."""
+    """Immutable sparse polynomial: a map from monomials to nonzero coefficients.
 
-    __slots__ = ("ring", "terms", "_hash")
+    The leading monomial of the last order asked for is memoized as
+    (order, monomial); a query under another order rescans the terms."""
+
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Coeff]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -567,13 +571,22 @@ class Polynomial:
             return self.ring.zero()
         p = self.ring.field.characteristic
         if p:
-            return Polynomial(self.ring, {m: v * c % p for m, v in self.terms.items()})
-        return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+            out = Polynomial(self.ring, {m: v * c % p for m, v in self.terms.items()})
+        else:
+            out = Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+        # a unit multiple has the same monomials, hence the same lead
+        object.__setattr__(out, "_lead", self._lead)
+        return out
 
     def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Coeff]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=self.ring.sort_key(order))
+        lead = self._lead
+        if lead is not None and (lead[0] is order or lead[0] == order):
+            m = lead[1]
+        else:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(self.terms, key=self.ring.sort_key(order))
+            object.__setattr__(self, "_lead", (order, m))
         return m, self.terms[m]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, saturate
+from .groebner import Ideal, _with_grevlex_basis, saturate
 from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
@@ -169,7 +169,7 @@ def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: in
     ring = PolyRing(field, names)
     xr = ring.variable(f"x{r}") ** exponents[r]
     gens = [ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r]
-    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, Ideal(ring, gens).groebner_basis())))
+    return ChartAlgebra(r, PresentedAlgebra(ring, _with_grevlex_basis(ring, Ideal(ring, gens).groebner_basis())))
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:

@@ -16,7 +16,23 @@ from fitt.groebner import (
     s_polynomial,
     saturate,
 )
-from fitt.polyring import GREVLEX, LEX, CoefficientField, PolyRing, mono_from_pairs, print_polynomial
+from fitt.polyring import (
+    EXPONENT_CAP,
+    GREVLEX,
+    LEX,
+    CoefficientField,
+    ExponentOverflowError,
+    MonomialOrder,
+    PolyRing,
+    RingMismatchError,
+    mono_div,
+    mono_from_pairs,
+    mono_lcm,
+    print_polynomial,
+)
+from fitt.rees import chart_presentation
+
+from grid_cases import STRETCH_GRID, shipped_grid
 
 QQ = CoefficientField(0)
 F2 = CoefficientField(2)
@@ -207,6 +223,49 @@ def test_spolynomials_of_basis_reduce_to_zero(rxy):
                 assert reduce(s_polynomial(gb[i], gb[j], order), gb, order).is_zero
 
 
+class TestSPolynomial:
+    def test_operands_from_different_rings_raise(self, rxy):
+        other = PolyRing(QQ, ("x", "y", "z"))
+        with pytest.raises(RingMismatchError):
+            s_polynomial(rxy.variable("x"), other.variable("y"))
+
+    def test_zero_operand_raises(self, rxy):
+        x = rxy.variable("x")
+        with pytest.raises(ValueError):
+            s_polynomial(rxy.zero(), x)
+        with pytest.raises(ValueError):
+            s_polynomial(x, rxy.zero())
+
+    def test_exponent_cap_is_checked(self, rxy):
+        # the cofactor of g is x^(cap - 1), which lifts g's tail x^2 past the cap
+        f = rxy.term(1, ((0, EXPONENT_CAP), (1, 1)))
+        g = rxy.parse("x*y^2 + x^2")
+        with pytest.raises(ExponentOverflowError):
+            s_polynomial(f, g)
+
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+    def test_matches_the_cofactor_formula(self, characteristic):
+        field = CoefficientField(characteristic)
+        ring = PolyRing(field, ("x", "y", "z"))
+        rng = random.Random(4100 + characteristic)
+        orders = (GREVLEX, LEX, MonomialOrder.elimination([2]))
+        checked = 0
+        for _ in range(40):
+            f, g = (_random_polynomial(rng, ring, 3) for _ in range(2))
+            if f.is_zero or g.is_zero:
+                continue
+            for order in orders:
+                # the product formula uf*f - ug*g, kept here as the oracle
+                lmf, lcf = f.leading_term(order)
+                lmg, lcg = g.leading_term(order)
+                lcm = mono_lcm(lmf, lmg)
+                uf = ring.term(field.inverse(lcf), mono_div(lcm, lmf))
+                ug = ring.term(field.inverse(lcg), mono_div(lcm, lmg))
+                assert s_polynomial(f, g, order) == uf * f - ug * g, (f, g, order)
+                checked += 1
+        assert checked >= 100
+
+
 # ---------------------------------------------------------------------------
 # Pair selection order
 
@@ -347,3 +406,55 @@ def test_reduced_bases_match_sympy(characteristic):
             assert _canonical(got) == _canonical(expected), (trial, name, gens)
             nontrivial += len(got) > 1
     assert nontrivial >= 6  # the seeded ideals are not all zero or the unit ideal
+
+
+# ---------------------------------------------------------------------------
+# Seeded grevlex bases: an elimination, saturation or intersection arrives
+# with its reduced grevlex basis cached, and so do the chart relations.  A
+# fresh buchberger run on the generators must give the same tuple.
+
+def _random_polynomial(rng, ring, max_degree):
+    """Up to three terms of total degree at most max_degree, with small
+    coefficients that are nonzero in the field; zero only when terms cancel."""
+    p = ring.field.characteristic
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        coeff = rng.randint(1, p - 1) if p else rng.choice((-3, -2, -1, 1, 2, 3))
+        pairs.append((mono_from_pairs(enumerate(exps)), coeff))
+    return ring.from_terms(pairs)
+
+
+def _random_ideal(rng, ring):
+    return Ideal(ring, [_random_polynomial(rng, ring, 2) for _ in range(rng.randint(1, 2))])
+
+
+def _assert_seeded_basis_is_fresh(X):
+    assert GREVLEX in X._gb, X
+    assert X.groebner_basis() == buchberger(X.ring, X.generators, GREVLEX), X
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+def test_seeded_bases_match_fresh_buchberger(characteristic):
+    ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+    rng = random.Random(6000 + characteristic)
+    nontrivial = 0
+    for _ in range(20):
+        I, J = _random_ideal(rng, ring), _random_ideal(rng, ring)
+        g = _random_polynomial(rng, ring, 2)
+        v = rng.choice(ring.variables)
+        results = [ideal_intersect(I, J), eliminate(I, [v])]
+        if not g.is_constant():
+            results.append(saturate(I, g))
+        for X in results:
+            _assert_seeded_basis_is_fresh(X)
+            nontrivial += len(X.generators) > 1
+    assert nontrivial >= 8  # not all zero, unit or principal
+
+
+@pytest.mark.parametrize("params", shipped_grid() + STRETCH_GRID, ids=lambda p: p.flag_string())
+def test_chart_relations_arrive_with_their_basis(params):
+    for r in range(params.s, params.n + 1):
+        _assert_seeded_basis_is_fresh(chart_presentation(params, r).algebra.relations)

@@ -132,6 +132,36 @@ class TestMonomialOrders:
         assert monomial_compare(order, ((1, 1),), ((0, 9),), 2) == 1
 
 
+class TestLeadingTermMemo:
+    # y^4 leads under grevlex, x^2*y under lex, x*z^3 under z-elimination
+    ORDERS = (GREVLEX, LEX, MonomialOrder.elimination({2}), GREVLEX)
+
+    @pytest.fixture(params=[0, 5], ids=["QQ", "F_5"])
+    def f(self, request):
+        ring = PolyRing(CoefficientField(request.param), ("x", "y", "z"))
+        return ring.parse("2*x*z^3 + 3*y^4 + 4*x^2*y - 3*z")
+
+    def assert_leads(self, g):
+        for order in self.ORDERS:
+            lm = max(g.terms, key=g.ring.sort_key(order))
+            assert g.leading_term(order) == (lm, g.terms[lm]), order
+
+    def test_each_order_gets_its_own_lead(self, f):
+        assert len({f.leading_term(order)[0] for order in self.ORDERS}) == 3
+        self.assert_leads(f)
+
+    def test_monic_output(self, f):
+        for order in self.ORDERS:
+            g = f.monic(order)
+            assert g.leading_term(order)[1] == 1
+            self.assert_leads(g)
+
+    def test_scale_output(self, f):
+        for order in self.ORDERS:
+            f.leading_term(order)
+            self.assert_leads(f.scale(-2))
+
+
 class TestParsePrint:
     def test_rees_binomial(self):
         ring = PolyRing(QQ, ("x1", "x2", "T1", "T2"))
