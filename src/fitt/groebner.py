@@ -3,8 +3,10 @@
 Reduction, membership, equality, elimination via block orders, saturation by
 the Rabinowitsch trick, intersection via the t-trick, and comparison of ideals
 after inverting an element.  Reduced Groebner bases are cached per
-(ideal, order); determinism comes from the normal selection strategy with
-index tie-breaks and from the uniqueness of the reduced basis.  The strategy
+(ideal, order), and saturations per (ideal, element); determinism comes from
+the normal selection strategy with index tie-breaks and from the uniqueness
+of the reduced basis, which also decides equality: once J lies in I, the two
+are equal exactly when their reduced grevlex bases are.  The strategy
 runs on a heap of pairs ranked (deg lcm, i, j): each rank and lcm is computed
 once, when the pair is formed, and the least one is popped next.
 
@@ -39,9 +41,10 @@ from .polyring import (
 
 
 class Ideal:
-    """A finitely generated ideal with a per-order cache of reduced bases."""
+    """A finitely generated ideal with a per-order cache of reduced bases and
+    a per-element cache of saturations."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_sat")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -55,9 +58,10 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_gb", {})
+        object.__setattr__(self, "_sat", {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable (the GB cache fills write-once)")
+        raise AttributeError("Ideal is immutable (the GB and saturation caches fill write-once)")
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         gb = self._gb.get(order)
@@ -239,9 +243,13 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    """J lies in I and the two have the same reduced grevlex basis.  Given
+    J in I, they are equal exactly when those bases are: a reduced basis is
+    unique, and buchberger and _with_grevlex_basis both list it monic and
+    ascending.  J's basis is never computed when J is not in I."""
     if I.ring != J.ring:
         raise RingMismatchError(f"ideals in {I.ring} and {J.ring}")
-    return ideal_contains(I, J) and ideal_contains(J, I)
+    return ideal_contains(I, J) and I.groebner_basis() == J.groebner_basis()
 
 
 def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
@@ -282,7 +290,9 @@ def transport_ideal(I: Ideal, target: PolyRing) -> Ideal:
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity), by adjoining a fresh variable w, forming I + (w*g - 1),
     and eliminating w.  w comes last, so the elimination's cached basis
-    carries back to the ring of I."""
+    carries back to the ring of I.  The result is cached on I per g, so each
+    saturation of an ideal is computed once; the result's own cache starts
+    empty."""
     ring = I.ring
     if g.ring != ring:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
@@ -290,13 +300,17 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
         raise ValueError("cannot saturate at 0")
     if g.is_unit_constant():
         return Ideal(ring, I.generators)
+    cached = I._sat.get(g)
+    if cached is not None:
+        return cached
     aux = ring.fresh_name("w")
     ext = ring.extended([aux])
     w = ext.variable(aux)
     gens = [h.transport(ext) for h in I.generators]
     gens.append(w * g.transport(ext) - ext.one())
-    sat = eliminate(Ideal(ext, gens), [aux])
-    return _with_grevlex_basis(ring, sat.generators)
+    sat = _with_grevlex_basis(ring, eliminate(Ideal(ext, gens), [aux]).generators)
+    I._sat[g] = sat
+    return sat
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:

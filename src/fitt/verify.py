@@ -27,12 +27,12 @@ from typing import Optional, Sequence, Union
 
 from .groebner import (
     Ideal,
+    _with_grevlex_basis,
     eliminate,
     ideal_contains,
     ideal_equal,
     ideal_intersect,
     ideal_member,
-    transport_ideal,
 )
 from .kaehler import kaehler_fitting
 from .polyring import CoefficientField, ExponentOverflowError, PolyRing, is_prime
@@ -203,7 +203,9 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
         chart = chart_presentation(params, r)
         fitt = kaehler_fitting(chart.algebra, index)
         ublock = [name for name in chart.algebra.ring.variables if name.startswith("U")]
-        contraction = transport_ideal(eliminate(fitt, ublock), xring)
+        # the U block comes last in the chart ring, so the elimination's
+        # cached basis carries over to the x-ring
+        contraction = _with_grevlex_basis(xring, eliminate(fitt, ublock).generators)
         combined = contraction if combined is None else ideal_intersect(combined, contraction)
         details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))
     ok = combined is not None and ideal_equal(combined, center)

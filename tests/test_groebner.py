@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fitt import groebner
 from fitt.groebner import (
     Ideal,
     buchberger,
@@ -458,3 +459,133 @@ def test_seeded_bases_match_fresh_buchberger(characteristic):
 def test_chart_relations_arrive_with_their_basis(params):
     for r in range(params.s, params.n + 1):
         _assert_seeded_basis_is_fresh(chart_presentation(params, r).algebra.relations)
+
+
+# ---------------------------------------------------------------------------
+# Saturation memo: each saturation of an ideal is computed once, and a
+# result's own memo starts empty.
+
+def _record_calls(monkeypatch, name):
+    """Record the arguments of every call to fitt.groebner.<name>."""
+    calls = []
+    real = getattr(groebner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, name, recording)
+    return calls
+
+
+class TestSaturationMemo:
+    def test_repeat_matches_a_fresh_ideal(self):
+        ring = PolyRing(CoefficientField(3), ("x", "y", "z"))
+        gens = [ring.parse("x^2*y - x*z"), ring.parse("x*y*z + y^2")]
+        g = ring.parse("x + z")
+        I = Ideal(ring, gens)
+        first = saturate(I, g)
+        again = saturate(I, g)
+        fresh = saturate(Ideal(ring, gens), g)
+        assert again is first
+        assert again.groebner_basis() == fresh.groebner_basis()
+        assert again.groebner_basis() == buchberger(ring, fresh.generators, GREVLEX)
+
+    def test_equal_element_hits_and_other_element_misses(self, rxy, monkeypatch):
+        calls = _record_calls(monkeypatch, "eliminate")
+        I = Ideal(rxy, [rxy.parse("x^2*y - x*y^2")])
+        g, same = rxy.variable("x"), rxy.parse("x")
+        assert g is not same and g == same
+        first = saturate(I, g)
+        assert saturate(I, same) is first
+        assert len(calls) == 1
+        other = saturate(I, rxy.variable("y"))
+        assert other is not first
+        assert len(calls) == 2
+        assert saturate(I, rxy.parse("y")) is other
+        assert len(calls) == 2
+        assert ideal_equal(first, Ideal(rxy, [rxy.parse("x*y - y^2")]))
+        assert ideal_equal(other, Ideal(rxy, [rxy.parse("x^2 - x*y")]))
+
+    def test_checks_still_raise_after_the_memo_fills(self, rxy):
+        I = Ideal(rxy, [rxy.parse("x*y")])
+        saturate(I, rxy.variable("x"))
+        other = PolyRing(QQ, ("x", "y", "z"))
+        with pytest.raises(RingMismatchError):
+            saturate(I, other.variable("x"))
+        with pytest.raises(ValueError):
+            saturate(I, rxy.zero())
+
+    def test_idempotence_is_computed_not_remembered(self, rxy, monkeypatch):
+        calls = _record_calls(monkeypatch, "eliminate")
+        I = Ideal(rxy, [rxy.parse("x^2*y - x*y")])
+        g = rxy.variable("x")
+        S1 = saturate(I, g)
+        assert len(calls) == 1
+        S2 = saturate(S1, g)
+        assert len(calls) == 2
+        assert S2 is not S1
+        assert ideal_equal(S2, S1)
+
+
+# ---------------------------------------------------------------------------
+# ideal_equal against two-way containment, the route it replaced
+
+def _equal_by_containment(I, J):
+    return ideal_contains(I, J) and ideal_contains(J, I)
+
+
+def _same_ideal_other_generators(rng, I):
+    """Generators of I under an invertible change: scale the first, add a
+    multiple of the second to it, and list one redundant multiple."""
+    ring = I.ring
+    p = ring.field.characteristic
+    gens = list(I.generators)
+    c = rng.randint(1, p - 1) if p else rng.choice((-2, 2, 3))
+    gens[0] = gens[0] * ring.constant(c)
+    if len(gens) > 1:
+        gens[0] = gens[0] + _random_polynomial(rng, ring, 1) * gens[1]
+    gens.append(_random_polynomial(rng, ring, 1) * I.generators[0])
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+def test_ideal_equal_matches_two_way_containment(characteristic):
+    ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+    rng = random.Random(7000 + characteristic)
+    seen = {"equal": 0, "strict": 0, "incomparable": 0}
+    for _ in range(20):
+        I = _random_ideal(rng, ring)
+        if not I.generators:
+            continue
+        pairs = [
+            (I, _same_ideal_other_generators(rng, I)),
+            (I, Ideal(ring, I.generators + (_random_polynomial(rng, ring, 2),))),
+            (I, _random_ideal(rng, ring)),
+        ]
+        for A, B in pairs:
+            for X, Y in ((A, B), (B, A)):
+                expected = _equal_by_containment(
+                    Ideal(ring, X.generators), Ideal(ring, Y.generators)
+                )
+                # uncached, then with either or both bases already computed
+                for warm in ((), (0,), (1,), (0, 1)):
+                    P, Q = Ideal(ring, X.generators), Ideal(ring, Y.generators)
+                    for k in warm:
+                        (P, Q)[k].groebner_basis()
+                    assert ideal_equal(P, Q) == expected, (X, Y, warm)
+            if _equal_by_containment(A, B):
+                seen["equal"] += A.generators != B.generators
+            elif ideal_contains(A, B) or ideal_contains(B, A):
+                seen["strict"] += 1
+            else:
+                seen["incomparable"] += 1
+    assert seen["equal"] >= 10 and seen["strict"] >= 5 and seen["incomparable"] >= 5, seen
+
+
+def test_ideal_equal_skips_the_basis_of_an_ideal_not_contained(rxy, monkeypatch):
+    calls = _record_calls(monkeypatch, "buchberger")
+    I, J = Ideal(rxy, [rxy.parse("x")]), Ideal(rxy, [rxy.parse("y")])
+    assert not ideal_equal(I, J)
+    assert calls == [(rxy, I.generators, GREVLEX)]
+    assert GREVLEX not in J._gb
