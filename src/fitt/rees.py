@@ -172,6 +172,33 @@ def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: in
     return ChartAlgebra(r, PresentedAlgebra(ring, _with_grevlex_basis(ring, Ideal(ring, gens).groebner_basis())))
 
 
+def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
+    """The chart of ci_chart_presentation with its unit pivots substituted
+    out.  For a generator index i != r with e_i = 1 the relation
+    x_i - U_i*x_r^{e_r} solves for x_i, so dropping x_i and that relation
+    gives an isomorphic algebra: every x_i except those, then the U block as
+    before, modulo x_i^{e_i} - U_i*x_r^{e_r} for i != r with e_i > 1, left
+    unreduced.  The differentials are the same module, only presented with
+    one generator and one relation fewer per dropped x_i (the column of that
+    relation has the unit entry 1 in the row of dx_i), and Fitting ideals do
+    not depend on the presentation (Eisenbud, Commutative Algebra, 20.2).
+    So Fitt_i is the same ideal, transported, at the same index i.  This is
+    not the free-summand shift Fitt_{i+1}(M + free) = Fitt_i(M): no free
+    summand is split off, and the module is unchanged."""
+    _check_powers(n, powers)
+    exponents = dict(powers)
+    if r not in exponents:
+        raise ReesParamsError(f"chart index {r} is not a generator index")
+    names = [f"x{i}" for i in range(1, n + 1) if i == r or exponents.get(i) != 1]
+    names.extend(f"U{i}" for i, _ in powers if i != r)
+    ring = PolyRing(field, names)
+    xr = ring.variable(f"x{r}") ** exponents[r]
+    gens = [
+        ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r and e > 1
+    ]
+    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
+
+
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:
     """Kernel of k[x, T-block] -> R[t], T_i -> x_i^{e_i} * t, as J : x_i^infinity
     for the exchange-binomial ideal J and the first generator index i.  J

@@ -16,6 +16,14 @@ law, Fitt_i of A localized is Fitt_{i-1} of C.  On C the target ideal is the
 unit ideal for r <= l and (x_r, U_s..U_l) plus relations for r > l.  Both
 ideals contain J and C -> C[T_r^{+-1}] is faithfully flat, so the localized
 equality holds exactly when the chart equality does.
+
+The chart Fitting ideals are computed on the pruned presentation of each
+chart (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
+equals U_j*x_r^{v_r} there, so dropping it and its relation gives an
+isomorphic algebra with the same differentials, and the Fitting index does
+not change.  thm41 and cor42 compare on the pruned ring.  image eliminates
+in the full chart ring R, where the pruned Fitting ideal F' pulls back to
+F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .rees import (
     ReesParamsError,
     chart_presentation,
     ci_chart_presentation,
+    ci_pruned_chart_presentation,
     micali_kernel,
     rees_presentation,
 )
@@ -163,15 +172,20 @@ def _chart_expected(params: ReesParams, chart: ChartAlgebra) -> Ideal:
     return Ideal(ring, gens)
 
 
+def _pruned_chart(params: ReesParams, r: int) -> ChartAlgebra:
+    return ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+
+
 def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> list[ChartCheck]:
     """Per chart: the Fitting ideal of the chart algebra equals the unit ideal
-    (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l)."""
+    (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l), both on
+    the chart's pruned presentation."""
     params.validate()
     index = chart_fitting_index(params, policy)
     out = []
     for r in range(params.s, params.n + 1):
         start = time.perf_counter()
-        chart = chart_presentation(params, r)
+        chart = _pruned_chart(params, r)
         fitt = kaehler_fitting(chart.algebra, index)
         equal = ideal_equal(fitt, _chart_expected(params, chart))
         out.append(ChartCheck(r, equal, _ms(start)))
@@ -188,7 +202,9 @@ def check_corollary42(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> 
 def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tuple[bool, list[ChartCheck]]:
     """Contract each chart Fitting ideal (r > l) down to the x-variables by
     eliminating the U block, intersect the contractions, and compare with the
-    center's ideal.  Per-chart entries record containment of the center."""
+    center's ideal.  Per-chart entries record containment of the center.
+    The Fitting ideal is computed on the pruned chart and pulled back to the
+    full chart ring as its generators plus the chart relations."""
     params.validate()
     index = chart_fitting_index(params, policy)
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
@@ -201,8 +217,10 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     for r in range(params.l + 1, params.n + 1):
         start = time.perf_counter()
         chart = chart_presentation(params, r)
-        fitt = kaehler_fitting(chart.algebra, index)
-        ublock = [name for name in chart.algebra.ring.variables if name.startswith("U")]
+        ring = chart.algebra.ring
+        pruned = kaehler_fitting(_pruned_chart(params, r).algebra, index)
+        fitt = Ideal(ring, [g.transport(ring) for g in pruned.generators] + list(chart.algebra.relations.generators))
+        ublock = [name for name in ring.variables if name.startswith("U")]
         # the U block comes last in the chart ring, so the elimination's
         # cached basis carries over to the x-ring
         contraction = _with_grevlex_basis(xring, eliminate(fitt, ublock).generators)

@@ -1,5 +1,6 @@
 """Parameter tuples shared by the oracle tests: the shipped default grid,
-read from grids/default.txt, and a stretch grid of larger tuples."""
+read from grids/default.txt, and the shipped stretch grid of larger tuples,
+read from grids/stretch.txt."""
 
 from __future__ import annotations
 
@@ -7,24 +8,20 @@ from pathlib import Path
 
 from fitt.rees import ReesParams
 
-GRID_FILE = Path(__file__).resolve().parent.parent / "grids" / "default.txt"
+GRID_DIR = Path(__file__).resolve().parent.parent / "grids"
+GRID_FILE = GRID_DIR / "default.txt"
+STRETCH_FILE = GRID_DIR / "stretch.txt"
 
 
-def shipped_grid() -> list[ReesParams]:
-    lines = (raw.split("#", 1)[0].strip() for raw in GRID_FILE.read_text(encoding="utf-8").splitlines())
+def read_grid(path: Path) -> list[ReesParams]:
+    lines = (raw.split("#", 1)[0].strip() for raw in path.read_text(encoding="utf-8").splitlines())
     return [ReesParams.parse(line) for line in lines if line]
 
 
-# larger tuples, n = 5..7 and p = 5, 7, with l = n - 1
-STRETCH_GRID = [
-    ReesParams.parse(text)
-    for text in (
-        "p=5 n=5 s=1 l=4 v=5,5,5,5,1",
-        "p=7 n=5 s=1 l=4 v=7,7,7,7,1",
-        "p=5 n=5 s=2 l=4 v=25,5,5,1",
-        "p=5 n=6 s=2 l=5 v=5,5,5,5,1",
-        "p=7 n=6 s=2 l=5 v=7,7,7,7,1",
-        "p=5 n=7 s=3 l=6 v=5,5,5,5,1",
-        "p=7 n=7 s=4 l=6 v=7,7,7,1",
-    )
-]
+def shipped_grid() -> list[ReesParams]:
+    return read_grid(GRID_FILE)
+
+
+# the stretch rows with one tail variable (l = n - 1; n = 5..7, p = 5, 7),
+# cheap enough for the unpruned and elimination oracles
+STRETCH_GRID = [params for params in read_grid(STRETCH_FILE) if params.l == params.n - 1]

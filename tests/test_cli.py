@@ -117,9 +117,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: p=0 is not prime\n"
 
     def test_exponent_overflow_in_a_single_check_is_exit_two(self):
+        # at index 5 a 2x2 minor of the chart at x_1^{v_1}T is (x_1^{v_1})^2
         code, _ = run_cli(
-            ["verify", "thm41", "--p", "2", "--n", "4", "--s", "1", "--l", "2",
-             "--v", "2147483646,2147483646,1,1"]
+            ["verify", "thm41", "--p", "2", "--n", "4", "--s", "1", "--l", "3",
+             "--v", "2147483646,2147483646,2147483646,1", "--index", "5"]
         )
         assert code == 2
 
@@ -172,7 +173,7 @@ def test_grid_text_marks_skipped_reason():
 
 def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
     # an exponent above the cap in the tuple itself, then one that only the
-    # computation reaches (v_1 + v_2 in a Buchberger step)
+    # computation reaches (2*v_1 in a chart minor at index 5)
     path = tmp_path / "grid.txt"
     path.write_text("p=2 n=2 s=1 l=1 v=2,1\np=2 n=2 s=1 l=1 v=4294967296,1\n", encoding="utf-8")
     code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
@@ -182,10 +183,12 @@ def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
     assert "skipped" in rows[1] and rows[1].endswith("# v_1=4294967296 exceeds the exponent cap 2147483647")
 
     path.write_text(
-        "p=2 n=2 s=1 l=1 v=2,1\np=2 n=4 s=1 l=2 v=2147483646,2147483646,1,1\np=2 n=2 s=1 l=1 v=2,1\n",
+        "p=2 n=3 s=1 l=2 v=2,2,1\np=2 n=4 s=1 l=3 v=2147483646,2147483646,2147483646,1\np=2 n=3 s=1 l=2 v=2,2,1\n",
         encoding="utf-8",
     )
-    code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
+    code, out = run_cli(
+        ["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing", "--index", "5"]
+    )
     rows = out.splitlines()[1:]
     assert code == 1 and len(rows) == 3
     assert " pass " in rows[0] and " pass " in rows[2]

@@ -8,6 +8,7 @@ from fitt.rees import (
     chart_presentation,
     ci_chart_presentation,
     ci_micali_kernel,
+    ci_pruned_chart_presentation,
     ci_rees_presentation,
     exceptional_ideal,
     micali_kernel,
@@ -220,6 +221,64 @@ class TestClosedFormAgainstElimination:
     def test_chart_index_outside_the_generators_is_refused(self):
         with pytest.raises(ReesParamsError, match="chart index 2 is not a generator index"):
             ci_chart_presentation(CoefficientField(2), 4, ((3, 2), (4, 4)), 2)
+
+
+class TestPrunedCharts:
+    """The pruned chart drops each exponent-1 generator x_i, i != r, keeps
+    every other x (generator or not) and the whole U block, and lists the
+    remaining binomials unreduced, in generator order."""
+
+    # generators x2^2, x3^4, x4, x5 in five variables; x1 is no generator
+    FIELD, N, POWERS = CoefficientField(2), 5, ((2, 2), (3, 4), (4, 1), (5, 1))
+
+    def test_tail_chart(self):
+        chart = ci_pruned_chart_presentation(self.FIELD, self.N, self.POWERS, 4)
+        ring = chart.algebra.ring
+        assert chart.r == 4
+        assert ring.variables == ("x1", "x2", "x3", "x4", "U2", "U3", "U5")
+        assert chart.algebra.relations.generators == (
+            ring.parse("x2^2 - U2*x4"),
+            ring.parse("x3^4 - U3*x4"),
+        )
+
+    def test_head_chart(self):
+        chart = ci_pruned_chart_presentation(self.FIELD, self.N, self.POWERS, 2)
+        ring = chart.algebra.ring
+        assert ring.variables == ("x1", "x2", "x3", "U3", "U4", "U5")
+        assert chart.algebra.relations.generators == (ring.parse("x3^4 - U3*x2^2"),)
+
+    def test_relations_are_left_unreduced(self):
+        # the reduced basis adds U3*x2^2 - U2*x3^2 to these two binomials
+        chart = ci_pruned_chart_presentation(CoefficientField(2), 3, ((1, 2), (2, 2), (3, 2)), 1)
+        ring = chart.algebra.ring
+        assert ring.variables == ("x1", "x2", "x3", "U2", "U3")
+        gens = (ring.parse("x2^2 - U2*x1^2"), ring.parse("x3^2 - U3*x1^2"))
+        assert chart.algebra.relations.generators == gens
+        assert len(chart.algebra.relations.groebner_basis()) == 3
+
+    def test_isomorphic_to_the_unpruned_chart(self):
+        # adding back x_j - U_j*x_r^{e_r} for the dropped x_j gives the
+        # unpruned chart's relation ideal
+        for r in (2, 3, 4, 5):
+            full = ci_chart_presentation(self.FIELD, self.N, self.POWERS, r).algebra
+            pruned = ci_pruned_chart_presentation(self.FIELD, self.N, self.POWERS, r).algebra
+            ring = full.ring
+            xr = ring.variable(f"x{r}") ** dict(self.POWERS)[r]
+            gens = [g.transport(ring) for g in pruned.relations.generators]
+            gens.extend(
+                ring.variable(f"x{j}") - ring.variable(f"U{j}") * xr
+                for j, e in self.POWERS
+                if j != r and e == 1
+            )
+            assert ideal_equal(Ideal(ring, gens), full.relations), r
+
+    def test_chart_index_outside_the_generators_is_refused(self):
+        with pytest.raises(ReesParamsError, match="chart index 1 is not a generator index"):
+            ci_pruned_chart_presentation(self.FIELD, self.N, self.POWERS, 1)
+
+    def test_bad_powers_are_refused(self):
+        with pytest.raises(ReesParamsError, match="repeated generator index 2"):
+            ci_pruned_chart_presentation(self.FIELD, 3, ((2, 2), (2, 1)), 2)
 
 
 def micali_kernel_by_elimination(field, n, powers):

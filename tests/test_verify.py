@@ -1,8 +1,17 @@
 import pytest
 
 import fitt.verify
-from fitt.groebner import Ideal, ideal_equal, localized_equal
+from fitt.groebner import (
+    Ideal,
+    eliminate,
+    ideal_contains,
+    ideal_equal,
+    ideal_intersect,
+    localized_equal,
+    transport_ideal,
+)
 from fitt.kaehler import kaehler_fitting
+from fitt.polyring import PolyRing
 from fitt.rees import ReesParams, chart_presentation, rees_presentation, target_ideal
 from fitt.verify import (
     ChartCheck,
@@ -21,7 +30,9 @@ from fitt.verify import (
     run_grid,
 )
 
-from grid_cases import STRETCH_GRID, shipped_grid
+from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid
+
+POLICIES = ["corrected", "paper"] + list(range(-1, 11))
 
 
 class TestIndexPolicies:
@@ -138,6 +149,65 @@ class TestCorollary42:
         assert check_corollary42(params, "corrected")
 
 
+def corollary42_unpruned(params, policy):
+    """Oracle for the chart vector: each chart Fitting ideal on the unpruned
+    chart presentation, compared with the expected ideal there."""
+    index = chart_fitting_index(params, policy)
+    out = []
+    for r in range(params.s, params.n + 1):
+        chart = chart_presentation(params, r)
+        fitting = kaehler_fitting(chart.algebra, index)
+        out.append(ideal_equal(fitting, fitt.verify._chart_expected(params, chart)))
+    return out
+
+
+def image_unpruned(params, policy):
+    """Oracle for image: the chart Fitting ideals on the unpruned charts,
+    contracted to the x-ring and intersected.  Returns the verdict and the
+    per-chart containment of the center."""
+    index = chart_fitting_index(params, policy)
+    xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
+    center = Ideal(
+        xring, [xring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)]
+    )
+    combined, contained = None, []
+    for r in range(params.l + 1, params.n + 1):
+        chart = chart_presentation(params, r)
+        fitting = kaehler_fitting(chart.algebra, index)
+        ublock = [name for name in chart.algebra.ring.variables if name.startswith("U")]
+        contraction = transport_ideal(eliminate(fitting, ublock), xring)
+        combined = contraction if combined is None else ideal_intersect(combined, contraction)
+        contained.append(ideal_contains(contraction, center))
+    return combined is not None and ideal_equal(combined, center), contained
+
+
+def assert_matches_unpruned(params, policy):
+    report = evaluate_params(params, policy)
+    charts = corollary42_unpruned(params, policy)
+    image_ok, contained = image_unpruned(params, policy)
+    assert [c.equal for c in report.charts] == charts, policy
+    assert report.corollary_ok == all(charts), policy
+    assert report.image_ok == image_ok, policy
+    assert [c.equal for c in image_details(params, policy)[1]] == contained, policy
+    assert report.status == ("pass" if all(charts) and report.micali_ok and image_ok else "fail"), policy
+
+
+class TestPrunedChartsAgainstUnpruned:
+    """thm41, cor42 and image on the pruned charts give the chart vector,
+    the image verdict, the per-chart containment and the status that the
+    unpruned charts give."""
+
+    @pytest.mark.parametrize("params", shipped_grid(), ids=lambda params: params.flag_string())
+    def test_default_grid_at_every_policy(self, params):
+        for policy in POLICIES:
+            assert_matches_unpruned(params, policy)
+
+    @pytest.mark.parametrize("params", STRETCH_GRID, ids=lambda params: params.flag_string())
+    def test_stretch_grid(self, params):
+        for policy in ("corrected", "paper"):
+            assert_matches_unpruned(params, policy)
+
+
 class TestImageEqualsCenter:
     def test_plane_blowup_contraction(self):
         params = ReesParams(2, 2, 1, 1, (2, 1))
@@ -214,10 +284,11 @@ class TestRunGrid:
         assert reports[1].reason == "v_1=4294967296 exceeds the exponent cap 2147483647"
 
     def test_exponent_overflow_in_a_check_is_skipped_not_fatal(self):
-        # v_1 + v_2 overflows the cap inside thm41 and cor42; the rows after it still run
-        passing = ReesParams(2, 2, 1, 1, (2, 1))
-        grid = [passing, ReesParams(2, 4, 1, 2, (2147483646, 2147483646, 1, 1)), passing]
-        reports = run_grid(grid)
+        # at index 5, 2*v_1 overflows the cap in a chart minor of thm41; the rows
+        # after it still run
+        passing = ReesParams(2, 3, 1, 2, (2, 2, 1))
+        grid = [passing, ReesParams(2, 4, 1, 3, (2147483646, 2147483646, 2147483646, 1)), passing]
+        reports = run_grid(grid, 5)
         assert [r.status for r in reports] == ["pass", "skipped", "pass"]
         assert reports[1].reason == "exponent 4294967292 exceeds cap 2147483647"
         assert reports[1].index_used == 0 and reports[1].charts == []
@@ -226,6 +297,13 @@ class TestRunGrid:
         # v_1 + v_2 is above the cap, and no check on this tuple may form it
         report = evaluate_params(ReesParams(2, 3, 1, 2, (2147483646, 2147483646, 1)))
         assert report.status == "pass"
+        assert report.micali_ok and report.corollary_ok and report.image_ok
+
+    def test_near_cap_exponents_pass_on_the_pruned_charts(self):
+        # the unpruned charts of this tuple form x_1^{2 v_1}; the pruned ones never do
+        report = evaluate_params(ReesParams(2, 4, 1, 2, (2147483646, 2147483646, 1, 1)))
+        assert report.status == "pass"
+        assert [c.equal for c in report.charts] == [True] * 4
         assert report.micali_ok and report.corollary_ok and report.image_ok
 
     def test_order_follows_input(self):
@@ -277,6 +355,13 @@ def test_default_grid_shape():
     assert {params.p for params in grid} == {2, 3}
     for params in grid:
         params.validate()
+
+
+def test_stretch_grid_file_passes():
+    grid = read_grid(STRETCH_FILE)
+    assert len(grid) == 17 and len(STRETCH_GRID) == 7
+    assert max(params.n for params in grid) == 10
+    assert [r.status for r in run_grid(grid)] == ["pass"] * len(grid)
 
 
 def test_shipped_grid_file_matches_default_grid():
