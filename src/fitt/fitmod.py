@@ -122,12 +122,8 @@ def fitting_ideal(module: PresentedModule, i: int) -> Ideal:
     m = module.generator_count
     if i >= m:
         return Ideal(ring, (ring.one(),))
-    mins = minors(module.matrix, m - i, ring)
-    gens = list(module.algebra.relations.generators)
-    for f in mins:
-        if not f.is_zero and f not in gens:
-            gens.append(f)
-    return Ideal(ring, gens)
+    # Ideal drops the zero and repeated minors, keeping first occurrences
+    return Ideal(ring, module.algebra.relations.generators + tuple(minors(module.matrix, m - i, ring)))
 
 
 def direct_sum_free(module: PresentedModule, rank: int) -> PresentedModule:

@@ -13,7 +13,7 @@ once, when the pair is formed, and the least one is popped next.
 Leading terms are memoized per polynomial and order (see
 Polynomial.leading_term), and reduce computes each monomial's order key once
 per call.  An elimination, saturation or intersection arrives with
-its grevlex basis cached: every elimination uses inner grevlex, and by the
+its grevlex basis cached: every block order breaks ties by grevlex, and by the
 Elimination Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
 section 3.1) the block-free part of the reduced block-order basis is the
 reduced grevlex basis of the elimination ideal.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 EXPONENT_CAP = 2**31 - 1
 MACHINE_WORD = 2**63
@@ -268,12 +268,11 @@ class MonomialOrder:
 
     kind is "lex" (earlier variables larger), "grevlex", or "block": the
     elimination block is compared first (lex among the block variables), ties
-    broken by the inner order on the remaining variables.
+    broken by grevlex on the remaining variables.
     """
 
     kind: str
     block: frozenset[int] = field(default_factory=frozenset)
-    inner: Optional["MonomialOrder"] = None
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -284,8 +283,8 @@ class MonomialOrder:
         return MonomialOrder("grevlex")
 
     @staticmethod
-    def elimination(block: Iterable[int], inner: Optional["MonomialOrder"] = None) -> "MonomialOrder":
-        return MonomialOrder("block", frozenset(block), inner or MonomialOrder.grevlex())
+    def elimination(block: Iterable[int]) -> "MonomialOrder":
+        return MonomialOrder("block", frozenset(block))
 
     def key_function(self, nvars: int):
         """Sort key builder; bigger key = bigger monomial."""
@@ -310,7 +309,7 @@ class MonomialOrder:
         if self.kind == "block":
             blockvars = sorted(self.block)
             pos = {v: i for i, v in enumerate(blockvars)}
-            inner_key = (self.inner or MonomialOrder.grevlex()).key_function(nvars)
+            inner_key = MonomialOrder.grevlex().key_function(nvars)
             def key(m: Monomial) -> tuple:
                 bdense = [0] * len(blockvars)
                 rest = []
@@ -688,8 +687,6 @@ class Polynomial:
 
 def _coeff_parts(c: Coeff) -> tuple[bool, str]:
     """(is_negative, absolute-value string); prime-field residues are never negative."""
-    if isinstance(c, Fraction):
-        return c < 0, str(abs(c))
     return c < 0, str(abs(c))
 
 

@@ -34,7 +34,7 @@ class ReesParams:
     l: int
     v: tuple[int, ...]
 
-    def validate(self, strict_p_powers: bool = False) -> None:
+    def validate(self) -> None:
         if not is_prime(self.p):
             raise ReesParamsError(f"p={self.p} is not prime")
         if self.n < 1:
@@ -58,8 +58,6 @@ class ReesParams:
             if i <= self.l:
                 if vi % self.p != 0:
                     raise ReesParamsError(f"p={self.p} must divide v_{i}={vi}")
-                if strict_p_powers and not _is_p_power(vi, self.p):
-                    raise ReesParamsError(f"v_{i}={vi} must be a power of p={self.p}")
             elif vi != 1:
                 raise ReesParamsError(f"v_{i}={vi} must equal 1 for i > l={self.l}")
 
@@ -100,12 +98,6 @@ class ReesParams:
         except ValueError as err:
             raise ReesParamsError(f"malformed integer in {text!r}") from err
         return params
-
-
-def _is_p_power(value: int, p: int) -> bool:
-    while value % p == 0:
-        value //= p
-    return value == 1
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == "error: p=0 is not prime\n"
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["verify", "thm41"], ["verify", "cor42"], ["verify", "image"],
+         ["rees", "print"], ["rees", "chart", "--r", "1"], ["rees", "micali"]],
+        ids=lambda verb: "-".join(verb[:2]),
+    )
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (["--p", "4", "--v", "2,2,1"], "error: p=4 is not prime\n"),
+            (["--p", "2", "--v", "2,2"], "error: v must list exponents v_1..v_3 (3 values, got 2)\n"),
+        ],
+        ids=["p-not-prime", "v-too-short"],
+    )
+    def test_params_are_validated_before_any_construction(self, capsys, verb, bad, message):
+        code, out = run_cli(verb + ["--n", "3", "--s", "1", "--l", "2"] + bad)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == message
+
     def test_exponent_overflow_in_a_single_check_is_exit_two(self):
         # at index 5 a 2x2 minor of the chart at x_1^{v_1}T is (x_1^{v_1})^2
         code, _ = run_cli(

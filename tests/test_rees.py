@@ -48,12 +48,8 @@ class TestReesParams:
         with pytest.raises(ReesParamsError, match=fragment):
             params.validate()
 
-    def test_strict_p_power_flag(self):
-        params = ReesParams(2, 2, 1, 1, (6, 1))
-        params.validate()  # 2 | 6 suffices for the theorem shape
-        with pytest.raises(ReesParamsError, match="power of p"):
-            params.validate(strict_p_powers=True)
-        ReesParams(2, 2, 1, 1, (8, 1)).validate(strict_p_powers=True)
+    def test_p_dividing_an_exponent_suffices(self):
+        ReesParams(2, 2, 1, 1, (6, 1)).validate()  # 2 | 6 suffices for the theorem shape
 
     def test_exponent_above_the_cap_is_a_validation_error(self):
         # 2^31 - 1 is prime, so v_1 = EXPONENT_CAP itself is a valid shape
