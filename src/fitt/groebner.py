@@ -10,6 +10,12 @@ are equal exactly when their reduced grevlex bases are.  The strategy
 runs on a heap of pairs ranked (deg lcm, i, j): each rank and lcm is computed
 once, when the pair is formed, and the least one is popped next.
 
+Questions whose answer is already known skip the work.  Buchberger stops
+with (1) as soon as a generator or a reduced S-polynomial is a nonzero
+constant; everything is a member of an ideal whose basis is (1); and equal
+generator tuples, or two cached reduced grevlex bases, decide equality
+without a containment pass.
+
 Leading terms are memoized per polynomial and order (see
 Polynomial.leading_term), and reduce computes each monomial's order key once
 per call.  An elimination, saturation or intersection arrives with
@@ -164,7 +170,10 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     """Reduced Groebner basis: monic, pairwise interreduced, sorted ascending
     by leading monomial.  Normal selection strategy (minimal lcm total degree,
     ties by index pair), kept as a heap-ordered pair queue ranked
-    (deg lcm, i, j); Buchberger's coprimality and chain criteria."""
+    (deg lcm, i, j); Buchberger's coprimality and chain criteria.  A
+    generator or reduced S-polynomial that is a nonzero constant ends the
+    run at once with (1), the reduced basis of the unit ideal under every
+    order."""
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
@@ -186,6 +195,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
             pending.add((i, j))
 
     for g in generators:
+        if g.is_unit_constant():
+            return (ring.one(),)
         if not g.is_zero:
             push(g)
 
@@ -207,6 +218,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         if skip:
             continue
         r = reduce(s_polynomial(G[i], G[j], order), G, order)
+        if r.is_unit_constant():
+            return (ring.one(),)
         if not r.is_zero:
             push(r)
 
@@ -230,11 +243,16 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
 # Ideal operations
 
 def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = GREVLEX) -> bool:
+    """f reduces to zero against I's basis under order; when that basis is
+    (1), f is a member without a reduction."""
     if f.ring != I.ring:
         raise RingMismatchError(f"element in {f.ring}, ideal in {I.ring}")
     if f.is_zero:
         return True
-    return reduce(f, I.groebner_basis(order), order).is_zero
+    gb = I.groebner_basis(order)
+    if len(gb) == 1 and gb[0].is_unit_constant():
+        return True
+    return reduce(f, gb, order).is_zero
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
@@ -243,12 +261,17 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """J lies in I and the two have the same reduced grevlex basis.  Given
-    J in I, they are equal exactly when those bases are: a reduced basis is
-    unique, and buchberger and _with_grevlex_basis both list it monic and
-    ascending.  J's basis is never computed when J is not in I."""
+    """Equal generator tuples give True at once.  When both ideals already
+    hold their reduced grevlex basis, equality is equality of those bases:
+    a reduced basis is unique, and buchberger and _with_grevlex_basis both
+    list it monic and ascending.  Otherwise J must lie in I and the two
+    bases must agree; J's basis is never computed when J is not in I."""
     if I.ring != J.ring:
         raise RingMismatchError(f"ideals in {I.ring} and {J.ring}")
+    if I.generators == J.generators:
+        return True
+    if GREVLEX in I._gb and GREVLEX in J._gb:
+        return I._gb[GREVLEX] == J._gb[GREVLEX]
     return ideal_contains(I, J) and I.groebner_basis() == J.groebner_basis()
 
 

@@ -559,6 +559,7 @@ def test_ideal_equal_matches_two_way_containment(characteristic):
         if not I.generators:
             continue
         pairs = [
+            (I, Ideal(ring, I.generators)),
             (I, _same_ideal_other_generators(rng, I)),
             (I, Ideal(ring, I.generators + (_random_polynomial(rng, ring, 2),))),
             (I, _random_ideal(rng, ring)),
@@ -589,3 +590,94 @@ def test_ideal_equal_skips_the_basis_of_an_ideal_not_contained(rxy, monkeypatch)
     assert not ideal_equal(I, J)
     assert calls == [(rxy, I.generators, GREVLEX)]
     assert GREVLEX not in J._gb
+
+
+def test_ideal_equal_skips_the_basis_when_only_one_side_is_cached(rxy, monkeypatch):
+    I, J = Ideal(rxy, [rxy.parse("x")]), Ideal(rxy, [rxy.parse("y")])
+    I.groebner_basis()
+    calls = _record_calls(monkeypatch, "buchberger")
+    assert not ideal_equal(I, J)
+    assert calls == []
+    assert GREVLEX not in J._gb
+
+
+class TestIdealEqualShortcuts:
+    def test_equal_generator_tuples_need_no_basis(self, rxy, monkeypatch):
+        calls = _record_calls(monkeypatch, "buchberger")
+        I = Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")])
+        assert ideal_equal(I, I)
+        assert ideal_equal(I, Ideal(rxy, I.generators))
+        assert calls == []
+        assert GREVLEX not in I._gb
+
+    @pytest.mark.parametrize("texts, expected", [
+        (("x + y, y", "x, y"), True),
+        (("x*y, x^2", "x"), False),
+        (("x", "x*y, x^2"), False),
+    ])
+    def test_two_cached_bases_decide_without_reduction(self, rxy, monkeypatch, texts, expected):
+        I, J = (Ideal(rxy, [rxy.parse(t) for t in text.split(", ")]) for text in texts)
+        assert I.generators != J.generators
+        I.groebner_basis()
+        J.groebner_basis()
+        reduces = _record_calls(monkeypatch, "reduce")
+        builds = _record_calls(monkeypatch, "buchberger")
+        assert ideal_equal(I, J) is expected
+        assert reduces == [] and builds == []
+
+
+# ---------------------------------------------------------------------------
+# The unit ideal: a nonzero constant ends Buchberger with (1)
+
+UNIT_ORDERS = {"grevlex": GREVLEX, "lex": LEX, "elim0": MonomialOrder.elimination({0})}
+
+
+class TestUnitIdealExits:
+    @pytest.mark.parametrize("order_name", sorted(UNIT_ORDERS))
+    @pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+    def test_constant_generator_needs_no_pair(self, monkeypatch, characteristic, order_name):
+        ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+        gens = [ring.parse("x^2*y - z"), ring.parse("y*z + x"), ring.constant(characteristic - 1 or 3)]
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        assert buchberger(ring, gens, UNIT_ORDERS[order_name]) == (ring.one(),)
+        assert reduces == [] and spolys == []
+
+    def test_unit_s_polynomial_stops_the_run(self, rxy, monkeypatch):
+        # the first pair, (x*y - 1, x), has S-polynomial -1; the pairs with
+        # y^3 + y are still queued when it reduces
+        gens = [rxy.parse("x*y - 1"), rxy.parse("x"), rxy.parse("y^3 + y")]
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        assert buchberger(rxy, gens, GREVLEX) == (rxy.one(),)
+        assert len(spolys) == 1 and len(reduces) == 1
+        assert reduces[0][0] == rxy.constant(-1)
+
+    def test_monomial_generator_is_not_a_unit(self, rxy):
+        x, y = rxy.variable("x"), rxy.variable("y")
+        assert buchberger(rxy, [x, y * y + rxy.one()], GREVLEX) == (x, y * y + rxy.one())
+        assert buchberger(rxy, [x * y, y], LEX) == (y,)
+        assert not ideal_member(rxy.one(), Ideal(rxy, [x]))
+        assert not ideal_member(y, Ideal(rxy, [x]))
+
+    def test_derived_unit_ideals_keep_their_basis(self, rxy):
+        one = (rxy.one(),)
+        unit = Ideal(rxy, [rxy.parse("x*y - 1"), rxy.parse("x")])
+        results = [
+            eliminate(unit, ["x"]),
+            saturate(unit, rxy.variable("y")),
+            saturate(Ideal(rxy, [rxy.parse("x*y")]), rxy.parse("x*y")),
+            ideal_intersect(unit, Ideal(rxy, [rxy.parse("x + 1"), rxy.parse("x")])),
+        ]
+        for X in results:
+            assert X.generators == one and X._gb[GREVLEX] == one, X
+            assert X.is_unit()
+
+    @pytest.mark.parametrize("order_name", sorted(UNIT_ORDERS))
+    def test_membership_in_the_unit_ideal_needs_no_reduction(self, rxy, monkeypatch, order_name):
+        order = UNIT_ORDERS[order_name]
+        I = Ideal(rxy, [rxy.parse("x"), rxy.parse("x + 1")])
+        assert I.groebner_basis(order) == (rxy.one(),)
+        reduces = _record_calls(monkeypatch, "reduce")
+        assert ideal_member(rxy.parse("y^3 + x"), I, order)
+        assert reduces == []
