@@ -176,10 +176,10 @@ def _generators(gens: Sequence, **head) -> _Result:
     return {**head, "generators": printed}, text, 0
 
 
-def _presentation(algebra: PresentedAlgebra, title: str = "", **head) -> _Result:
-    relations, text = _listing(algebra.relations.generators)
-    payload = {**head, "ambient": list(algebra.ring.variables), "relations": relations}
-    return payload, title + "ambient: " + ", ".join(algebra.ring.variables) + "\nrelations:\n" + text, 0
+def _presentation(ring: PolyRing, relations: Sequence, title: str = "", **head) -> _Result:
+    printed, text = _listing(relations)
+    payload = {**head, "ambient": list(ring.variables), "relations": printed}
+    return payload, title + "ambient: " + ", ".join(ring.variables) + "\nrelations:\n" + text, 0
 
 
 def _report(report: VerificationReport, args) -> _Result:
@@ -250,12 +250,14 @@ def _cmd_kaehler(args) -> _Result:
 
 
 def _cmd_rees_print(args) -> _Result:
-    return _presentation(rees_presentation(_params_from_args(args)))
+    algebra = rees_presentation(_params_from_args(args))
+    return _presentation(algebra.ring, algebra.relations.generators)
 
 
 def _cmd_rees_chart(args) -> _Result:
     chart = chart_presentation(_params_from_args(args), args.r)
-    return _presentation(chart.algebra, f"chart r={chart.r}\n", r=chart.r)
+    relations = chart.algebra.relations
+    return _presentation(relations.ring, relations.groebner_basis(), f"chart r={chart.r}\n", r=chart.r)
 
 
 def _cmd_rees_micali(args) -> _Result:

@@ -305,11 +305,6 @@ def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
     return ideal
 
 
-def transport_ideal(I: Ideal, target: PolyRing) -> Ideal:
-    """Move an ideal to another ring, matching variables by name."""
-    return Ideal(target, (g.transport(target) for g in I.generators))
-
-
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity), by adjoining a fresh variable w, forming I + (w*g - 1),
     and eliminating w.  w comes last, so the elimination's cached basis

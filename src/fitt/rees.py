@@ -5,7 +5,9 @@ The standard parameter shape (p, n, s, l, v) has p dividing the exponents
 v_s..v_l and a tail of exponent-1 generators v_{l+1} = ... = v_n = 1.  The
 underlying constructions work for any monomial complete intersection
 (x_{i1}^{e1}, ..., x_{ik}^{ek}), which the non-normality probe needs; the
-parameter type is a validated wrapper around that general machinery.
+parameter type is a validated wrapper around that general machinery.  Chart
+relations are the closed-form binomials, unreduced; their reduced basis is
+computed on request.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, _with_grevlex_basis, saturate
+from .groebner import Ideal, saturate
 from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
@@ -143,6 +145,21 @@ def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Pre
     return PresentedAlgebra(ring, Ideal(ring, gens))
 
 
+def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:
+    """Chart r with the unit pivots x_i, i in dropped, substituted out; the
+    one builder of both chart presentations below."""
+    _check_powers(n, powers)
+    exponents = dict(powers)
+    if r not in exponents:
+        raise ReesParamsError(f"chart index {r} is not a generator index")
+    names = [f"x{i}" for i in range(1, n + 1) if i not in dropped]
+    names.extend(f"U{i}" for i, _ in powers if i != r)
+    ring = PolyRing(field, names)
+    xr = ring.variable(f"x{r}") ** exponents[r]
+    gens = [ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r and i not in dropped]
+    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
+
+
 def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
     """Degree-zero localization at g = x_r^{e_r}T, from its closed form.  The
     Rees ring A = k[x, T]/J is graded with T_r of degree one, so A[1/T_r]_0 is
@@ -151,17 +168,9 @@ def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: in
     involve r into x_i^{e_i} - U_i*x_r^{e_r} (i != r), and these generate
     the images of the others:
     x_i^{e_i}U_j - x_j^{e_j}U_i = U_j(x_i^{e_i} - U_i x_r^{e_r}) - U_i(x_j^{e_j} - U_j x_r^{e_r}).
-    The relations are stored as their reduced grevlex basis."""
-    _check_powers(n, powers)
-    exponents = dict(powers)
-    if r not in exponents:
-        raise ReesParamsError(f"chart index {r} is not a generator index")
-    names = [f"x{i}" for i in range(1, n + 1)]
-    names.extend(f"U{i}" for i, _ in powers if i != r)
-    ring = PolyRing(field, names)
-    xr = ring.variable(f"x{r}") ** exponents[r]
-    gens = [ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r]
-    return ChartAlgebra(r, PresentedAlgebra(ring, _with_grevlex_basis(ring, Ideal(ring, gens).groebner_basis())))
+    The relations are these binomials, unreduced, in generator order; their
+    reduced basis is computed when a caller asks for it."""
+    return _chart(field, n, powers, r, frozenset())
 
 
 def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
@@ -177,18 +186,7 @@ def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers
     So Fitt_i is the same ideal, transported, at the same index i.  This is
     not the free-summand shift Fitt_{i+1}(M + free) = Fitt_i(M): no free
     summand is split off, and the module is unchanged."""
-    _check_powers(n, powers)
-    exponents = dict(powers)
-    if r not in exponents:
-        raise ReesParamsError(f"chart index {r} is not a generator index")
-    names = [f"x{i}" for i in range(1, n + 1) if i == r or exponents.get(i) != 1]
-    names.extend(f"U{i}" for i, _ in powers if i != r)
-    ring = PolyRing(field, names)
-    xr = ring.variable(f"x{r}") ** exponents[r]
-    gens = [
-        ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r and e > 1
-    ]
-    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
+    return _chart(field, n, powers, r, frozenset(i for i, e in powers if i != r and e == 1))
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:

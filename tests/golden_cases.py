@@ -76,6 +76,12 @@ CASES = [
         True,
     ),
     (
+        "rees_chart_reduced",
+        ["rees", "chart", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1", "--r", "1"],
+        0,
+        True,
+    ),
+    (
         "rees_micali",
         ["rees", "micali", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1"],
         0,
@@ -202,6 +208,13 @@ CASES = [
     (
         "rees_chart_json",
         ["rees", "chart", "--p", "2", "--n", "2", "--s", "1", "--l", "1", "--v", "2,1", "--r", "2",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "rees_chart_reduced_json",
+        ["rees", "chart", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1", "--r", "1",
          "--format", "json"],
         0,
         True,

@@ -1,11 +1,14 @@
 """Parameter tuples shared by the oracle tests: the shipped default grid,
 read from grids/default.txt, and the shipped stretch grid of larger tuples,
-read from grids/stretch.txt."""
+read from grids/stretch.txt.  Also the ring transport the oracles use to move
+an ideal they computed in a larger ring into the ring they compare in."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from fitt.groebner import Ideal
+from fitt.polyring import PolyRing
 from fitt.rees import ReesParams
 
 GRID_DIR = Path(__file__).resolve().parent.parent / "grids"
@@ -20,6 +23,11 @@ def read_grid(path: Path) -> list[ReesParams]:
 
 def shipped_grid() -> list[ReesParams]:
     return read_grid(GRID_FILE)
+
+
+def transport_ideal(I: Ideal, target: PolyRing) -> Ideal:
+    """Move an ideal to another ring, matching variables by name."""
+    return Ideal(target, (g.transport(target) for g in I.generators))
 
 
 # the stretch rows with one tail variable (l = n - 1; n = 5..7, p = 5, 7),

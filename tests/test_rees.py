@@ -1,6 +1,6 @@
 import pytest
 
-from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member, transport_ideal
+from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member
 from fitt.polyring import EXPONENT_CAP, CoefficientField, PolyRing
 from fitt.rees import (
     ReesParams,
@@ -16,7 +16,7 @@ from fitt.rees import (
     target_ideal,
 )
 
-from grid_cases import STRETCH_GRID, shipped_grid
+from grid_cases import STRETCH_GRID, shipped_grid, transport_ideal
 
 
 class TestReesParams:
@@ -192,27 +192,34 @@ def chart_by_elimination(field, n, powers, r):
     return chart_ring, transport_ideal(eliminate(Ideal(big, gens), block), chart_ring)
 
 
+def assert_matches_elimination(chart, field, n, powers):
+    """The chart has the variables elimination gives, its relations are the
+    binomials x_i^{e_i} - U_i*x_r^{e_r} (i != r), unreduced, in generator
+    order, and their reduced basis is the very generators, in order, that
+    elimination gives."""
+    r, ring = chart.r, chart.algebra.ring
+    er = dict(powers)[r]
+    oracle_ring, relations = chart_by_elimination(field, n, powers, r)
+    assert ring.variables == oracle_ring.variables
+    binomials = tuple(ring.parse(f"x{i}^{e} - U{i}*x{r}^{er}") for i, e in powers if i != r)
+    assert chart.algebra.relations.generators == binomials
+    assert chart.algebra.relations.groebner_basis() == relations.generators
+
+
 class TestClosedFormAgainstElimination:
-    """The closed-form chart has the variables and the very relation
-    generators, in order, that elimination from the Rees ring gives."""
+    """The closed-form chart against elimination from the Rees ring."""
 
     @pytest.mark.parametrize(
         "params", shipped_grid() + STRETCH_GRID, ids=lambda params: params.flag_string()
     )
     def test_every_chart_of_the_grids(self, params):
         for r in range(params.s, params.n + 1):
-            chart = chart_presentation(params, r)
-            ring, relations = chart_by_elimination(params.field, params.n, params.powers(), r)
-            assert chart.algebra.ring.variables == ring.variables
-            assert chart.algebra.relations.generators == relations.generators
+            assert_matches_elimination(chart_presentation(params, r), params.field, params.n, params.powers())
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_nonnormality_chart(self, p):
         field, powers = CoefficientField(p), ((3, p), (4, p * p))
-        chart = ci_chart_presentation(field, 4, powers, 3)
-        ring, relations = chart_by_elimination(field, 4, powers, 3)
-        assert chart.algebra.ring.variables == ring.variables
-        assert chart.algebra.relations.generators == relations.generators
+        assert_matches_elimination(ci_chart_presentation(field, 4, powers, 3), field, 4, powers)
 
     def test_chart_index_outside_the_generators_is_refused(self):
         with pytest.raises(ReesParamsError, match="chart index 2 is not a generator index"):
@@ -267,6 +274,16 @@ class TestPrunedCharts:
                 if j != r and e == 1
             )
             assert ideal_equal(Ideal(ring, gens), full.relations), r
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_as_the_full_chart_without_unit_pivots(self, p):
+        # the non-normality powers (x3^p, x4^{p^2}) have no exponent-1 generator
+        field, powers = CoefficientField(p), ((3, p), (4, p * p))
+        for r in (3, 4):
+            full = ci_chart_presentation(field, 4, powers, r).algebra
+            pruned = ci_pruned_chart_presentation(field, 4, powers, r).algebra
+            assert pruned.ring == full.ring
+            assert pruned.relations.generators == full.relations.generators
 
     def test_chart_index_outside_the_generators_is_refused(self):
         with pytest.raises(ReesParamsError, match="chart index 1 is not a generator index"):

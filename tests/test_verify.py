@@ -8,7 +8,6 @@ from fitt.groebner import (
     ideal_equal,
     ideal_intersect,
     localized_equal,
-    transport_ideal,
 )
 from fitt.kaehler import kaehler_fitting
 from fitt.polyring import PolyRing
@@ -30,7 +29,7 @@ from fitt.verify import (
     run_grid,
 )
 
-from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid
+from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
 
 POLICIES = ["corrected", "paper"] + list(range(-1, 11))
 
@@ -359,8 +358,8 @@ def test_default_grid_shape():
 
 def test_stretch_grid_file_passes():
     grid = read_grid(STRETCH_FILE)
-    assert len(grid) == 17 and len(STRETCH_GRID) == 7
-    assert max(params.n for params in grid) == 10
+    assert len(grid) == 20 and len(STRETCH_GRID) == 7
+    assert max(params.n for params in grid) == 16
     assert [r.status for r in run_grid(grid)] == ["pass"] * len(grid)
 
 
