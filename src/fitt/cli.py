@@ -147,10 +147,14 @@ def _policy_from_args(args) -> object:
 
 
 def _parse_matrix(ring: PolyRing, text: str) -> tuple[tuple, ...]:
+    """A blank row is a generator with no relation entries; any other row
+    must have a polynomial in every entry."""
     rows = []
-    for row_text in text.split(";"):
-        entries = [e.strip() for e in row_text.split(",")]
-        rows.append(tuple(ring.parse(e) for e in entries if e))
+    for k, row_text in enumerate(text.split(";"), 1):
+        entries = [e.strip() for e in row_text.split(",")] if row_text.strip() else []
+        if "" in entries:
+            raise UsageError(f"--matrix row {k} has an empty entry: {row_text.strip()!r}")
+        rows.append(tuple(ring.parse(e) for e in entries))
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise UsageError("--matrix rows have unequal lengths")

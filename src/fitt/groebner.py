@@ -16,13 +16,18 @@ constant; everything is a member of an ideal whose basis is (1); and equal
 generator tuples, or two cached reduced grevlex bases, decide equality
 without a containment pass.
 
+Every coefficient sum, in reduce and s_polynomial alike, is made by
+polyring.add_terms, so this module never sees how coefficients are stored:
+it asks the field for inverses and leaves sums and zeros to that kernel.
+
 Leading terms are memoized per polynomial and order (see
-Polynomial.leading_term), and reduce computes each monomial's order key once
-per call.  An elimination, saturation or intersection arrives with
-its grevlex basis cached: every block order breaks ties by grevlex, and by the
-Elimination Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-section 3.1) the block-free part of the reduced block-order basis is the
-reduced grevlex basis of the elimination ideal.
+Polynomial.leading_term).  reduce computes each monomial's order key once per
+call, and a divisor's inverse only when that divisor divides.  An
+elimination, saturation or intersection arrives with its grevlex basis
+cached: every block order breaks ties by grevlex, and by the Elimination
+Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
+the block-free part of the reduced block-order basis is the reduced grevlex
+basis of the elimination ideal.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    add_terms,
     mono_coprime,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -91,12 +96,25 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # Division
 
+class _OrderKeys(dict):
+    """Each monomial's order key, computed on its first lookup."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self.key(m)
+        return k
+
+
 def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
     """Normal form of f against basis: no remainder term is divisible by any
     basis leading term, and f minus the result lies in the ideal the basis
     generates."""
     ring = f.ring
-    key = ring.sort_key(order)
+    field = ring.field
     divisors = []
     for g in basis:
         if g.ring != ring:
@@ -104,29 +122,15 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
         if not g.is_zero:
             lm, lc = g.leading_term(order)
             divisors.append((lm, lc, g.terms))
-    p = ring.field.characteristic
     work = dict(f.terms)
-    # each monomial's order key, computed once, when it first enters work
-    keys = {m: key(m) for m in work}
+    keys = _OrderKeys(ring.sort_key(order))
     remainder: dict[Monomial, object] = {}
     while work:
         m = max(work, key=keys.__getitem__)
         c = work[m]
         for lm, lc, gterms in divisors:
             if mono_divides(lm, m):
-                q = mono_div(m, lm)
-                factor = c * pow(lc, -1, p) % p if p else c / lc
-                for gm, gc in gterms.items():
-                    t = mono_mul(gm, q)
-                    v = work.get(t, 0) - factor * gc
-                    if p:
-                        v %= p
-                    if v:
-                        work[t] = v
-                        if t not in keys:
-                            keys[t] = key(t)
-                    else:
-                        work.pop(t, None)
+                add_terms(work, -c * field.inverse(lc), mono_div(m, lm), gterms, field)
                 break
         else:
             remainder[m] = c
@@ -143,24 +147,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     if g.ring != ring:
         raise RingMismatchError(f"operands in {ring} and {g.ring}")
     field = ring.field
-    p = field.characteristic
     lcm = mono_lcm(lmf, lmg)
-    qf, af = mono_div(lcm, lmf), field.inverse(lcf)
-    qg, ag = mono_div(lcm, lmg), field.inverse(lcg)
-    if p:
-        out = {mono_mul(m, qf): c * af % p for m, c in f.terms.items()}
-    else:
-        out = {mono_mul(m, qf): c * af for m, c in f.terms.items()}
-    for m, c in g.terms.items():
-        t = mono_mul(m, qg)
-        v = out.get(t, 0) - c * ag
-        if p:
-            v %= p
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return Polynomial(ring, out)
+    out = add_terms({}, field.inverse(lcf), mono_div(lcm, lmf), f.terms, field)
+    return Polynomial(ring, add_terms(out, -field.inverse(lcg), mono_div(lcm, lmg), g.terms, field))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Monomials are canonical tuples of (variable-index, exponent) pairs, sorted by
 index and free of zero exponents, so they hash and compare at C speed.
 Coefficients are Python ints reduced mod p, or Fractions (always in lowest
 terms with positive denominator).  Everything is immutable after construction.
+
+add_terms is the one place coefficient sums are made: every sum of term maps,
+here and in the Groebner layer, goes through it, so the field arithmetic and
+the rule that a map holds no zero coefficient live in that function alone.
 """
 
 from __future__ import annotations
@@ -333,9 +337,34 @@ GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
 
 
-def monomial_compare(order: MonomialOrder, a: Monomial, b: Monomial, nvars: int) -> int:
-    """-1, 0, or 1 as a is below, equal to, or above b."""
-    return order.compare(a, b, nvars)
+# ---------------------------------------------------------------------------
+# Term maps
+
+
+def add_terms(
+    out: dict[Monomial, Coeff],
+    a: Coeff,
+    shift: Monomial,
+    terms: Mapping[Monomial, Coeff],
+    field: CoefficientField,
+) -> dict[Monomial, Coeff]:
+    """out += a * x^shift * terms, in place, and return out.  a and the
+    coefficients are field elements, a nonzero.  Sums are reduced mod p, or
+    kept exact over Q, and a monomial whose sum is zero is removed from out."""
+    p = field.characteristic
+    get = out.get
+    for m, c in terms.items():
+        if shift:
+            m = mono_mul(m, shift)
+        v = get(m)
+        v = a * c if v is None else v + a * c
+        if p:
+            v %= p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +455,9 @@ class PolyRing:
         acc: dict[Monomial, Coeff] = {}
         f = self.field
         for mono, coeff in pairs:
-            c = acc.get(mono, 0) + f.normalize(coeff)
-            c = f.normalize(c)
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return Polynomial(self, acc)
+            acc[mono] = acc.get(mono, 0) + f.normalize(coeff)
+        # one normalization of each sum, which also drops the zeros
+        return Polynomial(self, add_terms({}, 1, ONE_MONOMIAL, acc, f))
 
     def extended(self, extra: Iterable[str]) -> "PolyRing":
         return PolyRing(self.field, self.variables + tuple(extra))
@@ -502,52 +527,21 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        p = self.ring.field.characteristic
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if p:
-                v %= p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, add_terms(dict(self.terms), 1, ONE_MONOMIAL, other.terms, self.ring.field))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        p = self.ring.field.characteristic
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) - c
-            if p:
-                v %= p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, add_terms(dict(self.terms), -1, ONE_MONOMIAL, other.terms, self.ring.field))
 
     def __neg__(self) -> "Polynomial":
-        p = self.ring.field.characteristic
-        if p:
-            return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()})
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial(self.ring, add_terms({}, -1, ONE_MONOMIAL, self.terms, self.ring.field))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        p = self.ring.field.characteristic
+        field = self.ring.field
         out: dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                v = out.get(m, 0) + c1 * c2
-                if p:
-                    v %= p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
+        for m, c in self.terms.items():
+            add_terms(out, c, m, other.terms, field)
         return Polynomial(self.ring, out)
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -565,14 +559,11 @@ class Polynomial:
         return result
 
     def scale(self, c: Union[int, Fraction]) -> "Polynomial":
-        c = self.ring.field.normalize(c)
+        field = self.ring.field
+        c = field.normalize(c)
         if not c:
             return self.ring.zero()
-        p = self.ring.field.characteristic
-        if p:
-            out = Polynomial(self.ring, {m: v * c % p for m, v in self.terms.items()})
-        else:
-            out = Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+        out = Polynomial(self.ring, add_terms({}, c, ONE_MONOMIAL, self.terms, field))
         # a unit multiple has the same monomials, hence the same lead
         object.__setattr__(out, "_lead", self._lead)
         return out
@@ -610,21 +601,15 @@ class Polynomial:
         if not 0 <= idx < ring.nvars:
             raise UnknownVariableError(f"variable index {idx} out of range")
         fld = ring.field
+        x = ((idx, 1),)
         out: dict[Monomial, Coeff] = {}
+        # m -> m/x is one-to-one on the terms kept, so nothing accumulates
         for m, c in self.terms.items():
             e = mono_exponent(m, idx)
-            if e == 0:
-                continue
-            coeff = fld.normalize(c * e)
-            if not coeff:
-                continue
-            newm = mono_mul(mono_div(m, ((idx, e),)), ((idx, e - 1),) if e > 1 else ())
-            prev = out.get(newm, 0) + coeff
-            prev = fld.normalize(prev)
-            if prev:
-                out[newm] = prev
-            else:
-                out.pop(newm, None)
+            if e:
+                coeff = fld.normalize(c * e)
+                if coeff:
+                    out[mono_div(m, x)] = coeff
         return Polynomial(ring, out)
 
     def transport(self, target: PolyRing) -> "Polynomial":

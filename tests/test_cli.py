@@ -135,6 +135,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            ("x,,y;1,2", "error: --matrix row 1 has an empty entry: 'x,,y'\n"),
+            ("x,y,;1,2", "error: --matrix row 1 has an empty entry: 'x,y,'\n"),
+            ("1,2;x,,y", "error: --matrix row 2 has an empty entry: 'x,,y'\n"),
+        ],
+        ids=["inner", "trailing", "second-row"],
+    )
+    def test_fitting_matrix_with_an_empty_entry_is_a_usage_error(self, capsys, matrix, message):
+        code, out = run_cli(
+            ["fitting", "--field", "rationals", "--vars", "x,y", "--matrix", matrix, "--index", "0"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == message
+
+    def test_fitting_empty_matrix_is_one_generator_without_relations(self):
+        argv = ["fitting", "--field", "rationals", "--vars", "x", "--matrix", ""]
+        assert run_cli(argv + ["--index", "0"]) == (0, "0\n")
+        assert run_cli(argv + ["--index", "1"]) == (0, "1\n")
+
     def test_exponent_overflow_in_a_single_check_is_exit_two(self):
         # at index 5 a 2x2 minor of the chart at x_1^{v_1}T is (x_1^{v_1})^2
         code, _ = run_cli(

@@ -409,6 +409,44 @@ def test_reduced_bases_match_sympy(characteristic):
     assert nontrivial >= 6  # the seeded ideals are not all zero or the unit ideal
 
 
+@pytest.mark.parametrize("characteristic", [0, 7, 3])
+def test_remainders_match_sympy(characteristic):
+    # against a reduced basis the remainder is unique, so reduce must return
+    # exactly sympy's
+    sympy = pytest.importorskip("sympy")
+    field = CoefficientField(characteristic)
+    domain = {"modulus": characteristic} if characteristic else {"domain": "QQ"}
+    rng = random.Random(20261018 + characteristic)
+    reduced_nonzero = 0
+    for trial in range(20):
+        nvars = rng.randint(1, 3)
+        names = ("x", "y", "z")[:nvars]
+        ring = PolyRing(field, names)
+        symbols = sympy.symbols(names)
+        gens = _random_generators(rng, nvars)
+        ideal = Ideal(ring, [
+            ring.from_terms((mono_from_pairs(enumerate(exps)), c) for exps, c in g.items())
+            for g in gens
+        ])
+        dividend = _random_generators(rng, nvars)[0]
+        f = ring.from_terms((mono_from_pairs(enumerate(exps)), c) for exps, c in dividend.items())
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            basis = ideal.groebner_basis(order)
+            if not basis:
+                continue
+            theirs = [sympy.Poly.from_dict(_dense(g, nvars), *symbols, **domain).as_expr() for g in basis]
+            F = sympy.Poly.from_dict(dividend, *symbols, **domain).as_expr()
+            _, r = sympy.reduced(F, theirs, *symbols, order=name, **domain)
+            expected = {
+                m: field.normalize(Fraction(str(c)))
+                for m, c in sympy.Poly(r, *symbols, **domain).as_dict().items()
+            }
+            got = reduce(f, basis, order)
+            assert _dense(got, nvars) == expected, (trial, name, gens, dividend)
+            reduced_nonzero += got != f and not got.is_zero
+    assert reduced_nonzero >= 4  # some remainders are neither f nor 0
+
+
 # ---------------------------------------------------------------------------
 # Seeded grevlex bases: an elimination, saturation or intersection arrives
 # with its reduced grevlex basis cached.  A fresh buchberger run on the

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from fitt.polyring import (
     field_inverse,
     mono_from_pairs,
     mono_mul,
-    monomial_compare,
     parse_polynomial,
     print_polynomial,
 )
@@ -115,21 +115,21 @@ class TestDerivative:
 
 class TestMonomialOrders:
     def test_lex_earlier_variables_larger(self):
-        assert monomial_compare(LEX, ((0, 1),), ((1, 1),), 2) == 1
+        assert LEX.compare(((0, 1),), ((1, 1),), 2) == 1
 
     def test_grevlex_degree_tie(self):
         # x1^2 vs x1*x2: tie on degree, broken by reverse-lex on the last variable
-        assert monomial_compare(GREVLEX, ((0, 2),), ((0, 1), (1, 1)), 2) == 1
+        assert GREVLEX.compare(((0, 2),), ((0, 1), (1, 1)), 2) == 1
 
     def test_reflexive_equality(self):
         m = ((0, 2), (2, 1))
         for order in (LEX, GREVLEX, MonomialOrder.elimination({1})):
-            assert monomial_compare(order, m, m, 3) == 0
+            assert order.compare(m, m, 3) == 0
 
     def test_block_order_eliminates(self):
         # any monomial touching the block beats any block-free monomial
         order = MonomialOrder.elimination({1})
-        assert monomial_compare(order, ((1, 1),), ((0, 9),), 2) == 1
+        assert order.compare(((1, 1),), ((0, 9),), 2) == 1
 
 
 class TestLeadingTermMemo:
@@ -204,3 +204,55 @@ class TestParsePrint:
 
     def test_parse_polynomial_function(self, rxy):
         assert parse_polynomial("x*y", rxy) == rxy.variable("x") * rxy.variable("y")
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic against sympy (test-only dependency)
+
+def _random_dense(rng, nvars, characteristic):
+    """Up to five terms of total degree at most 4, as {exponent tuple:
+    coefficient}; over Q the coefficients are fractions."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(nvars)] += 1
+        num = rng.choice((-3, -2, -1, 1, 2, 3))
+        terms[tuple(exps)] = Fraction(num, rng.randint(1, 3)) if characteristic == 0 else num
+    return terms
+
+
+@pytest.mark.parametrize("characteristic", [0, 3, 7])
+def test_arithmetic_matches_sympy(characteristic):
+    sympy = pytest.importorskip("sympy")
+    field = CoefficientField(characteristic)
+    domain = {"modulus": characteristic} if characteristic else {"domain": "QQ"}
+    rng = random.Random(20261018 + characteristic)
+    cancelled = 0
+    for trial in range(40):
+        nvars = rng.randint(1, 3)
+        names = ("x", "y", "z")[:nvars]
+        ring = PolyRing(field, names)
+        symbols = sympy.symbols(names)
+        df, dg = _random_dense(rng, nvars, characteristic), _random_dense(rng, nvars, characteristic)
+        dg.update((e, -v) for e, v in df.items() if rng.random() < 0.3)  # terms that cancel in f+g
+        f, g = (ring.from_terms((mono_from_pairs(enumerate(e)), c) for e, c in d.items()) for d in (df, dg))
+        F, G = (sympy.Poly.from_dict(d, *symbols, **domain) for d in (df, dg))
+        c = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) if characteristic == 0 else rng.randint(1, 6)
+        var = rng.randrange(nvars)
+        pairs = [
+            ("f+g", f + g, F + G),
+            ("f-g", f - g, F - G),
+            ("f*g", f * g, F * G),
+            ("-f", -f, -F),
+            ("c*f", f.scale(c), F * sympy.sympify(c)),
+            ("df", f.derivative(var), F.diff(symbols[var])),
+        ]
+        for name, ours, theirs in pairs:
+            expected = {
+                mono_from_pairs(enumerate(e)): field.normalize(Fraction(str(v)))
+                for e, v in theirs.as_dict().items()
+            }
+            assert ours.terms == expected, (trial, name, df, dg)
+        cancelled += len((f + g).terms) < len(set(df) | set(dg))
+    assert cancelled >= 3  # some sums drop a monomial, so the zero rule is exercised
