@@ -12,6 +12,7 @@ from fitt.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GRID_SMALL = GOLDEN_DIR / "grid_small.txt"
+GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
 # (name, argv, expected exit code, frozen golden file?)
 CASES = [
@@ -132,6 +133,35 @@ CASES = [
         ["verify", "grid", "--file", str(GRID_SMALL), "--workers", "1", "--no-timing",
          "--format", "json"],
         1,
+        True,
+    ),
+    # the shipped grids pin the chart vector of every shipped tuple; under the
+    # paper policy the four s = 2 rows fail
+    (
+        "verify_grid_default",
+        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing"],
+        0,
+        True,
+    ),
+    (
+        "verify_grid_default_json",
+        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing",
+         "--format", "json"],
+        0,
+        True,
+    ),
+    (
+        "verify_grid_default_paper",
+        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing",
+         "--policy", "paper"],
+        1,
+        True,
+    ),
+    (
+        "verify_grid_stretch_json",
+        ["verify", "grid", "--file", str(GRIDS_DIR / "stretch.txt"), "--workers", "1", "--no-timing",
+         "--format", "json"],
+        0,
         True,
     ),
     # JSON shapes of the utility and construction verbs, plus text shapes of
