@@ -231,6 +231,8 @@ def _cmd_intersect(args) -> _Result:
 def _cmd_eliminate(args) -> _Result:
     ideal = _ideal(args)
     block = [v.strip() for v in args.block.split(",") if v.strip()]
+    if not block:
+        raise UsageError("--block needs at least one variable name")
     return _generators(eliminate(ideal, block).generators)
 
 

@@ -1,20 +1,17 @@
 """Buchberger's algorithm and the ideal toolkit built on it.
 
-Reduction, membership, equality, elimination via block orders, saturation by
-the Rabinowitsch trick, intersection via the t-trick, and comparison of ideals
-after inverting an element.  Reduced Groebner bases are cached per
-(ideal, order), and saturations per (ideal, element); determinism comes from
-the normal selection strategy with index tie-breaks and from the uniqueness
-of the reduced basis, which also decides equality: once J lies in I, the two
-are equal exactly when their reduced grevlex bases are.  The strategy
-runs on a heap of pairs ranked (deg lcm, i, j): each rank and lcm is computed
-once, when the pair is formed, and the least one is popped next.
+Reduction, membership, equality, elimination via block orders, contraction
+to leading variables, saturation by the Rabinowitsch trick, intersection via
+the t-trick, and comparison of ideals after inverting an element.  Reduced
+Groebner bases are cached per (ideal, order), and saturations per (ideal,
+element).  Determinism comes from the normal selection strategy with index
+tie-breaks and from the uniqueness of the reduced basis, which also decides
+equality.  The strategy runs on a heap of pairs ranked (deg lcm, i, j): each
+rank and lcm is computed once, when the pair is formed.
 
-Questions whose answer is already known skip the work.  Buchberger stops
-with (1) as soon as a generator or a reduced S-polynomial is a nonzero
-constant; everything is a member of an ideal whose basis is (1); and equal
-generator tuples, or two cached reduced grevlex bases, decide equality
-without a containment pass.
+Known answers skip the work: Buchberger stops with (1) as soon as a
+generator or a reduced S-polynomial is a nonzero constant; everything is a
+member of an ideal whose basis is (1); equal generator tuples are equal.
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -23,11 +20,12 @@ it asks the field for inverses and leaves sums and zeros to that kernel.
 Leading terms are memoized per polynomial and order (see
 Polynomial.leading_term).  reduce computes each monomial's order key once per
 call, and a divisor's inverse only when that divisor divides.  An
-elimination, saturation or intersection arrives with its grevlex basis
-cached: every block order breaks ties by grevlex, and by the Elimination
-Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
-the block-free part of the reduced block-order basis is the reduced grevlex
-basis of the elimination ideal.
+elimination, contraction, saturation or intersection arrives with its
+grevlex basis cached: by the Elimination Theorem (Cox-Little-O'Shea, Ideals,
+Varieties, and Algorithms, section 3.1) the block-free part of the reduced
+block-order basis, whose ties break by grevlex, is the reduced grevlex basis
+of the elimination ideal.  contract is the one place that moves it to a
+smaller ring, which needs the eliminated block last.
 """
 
 from __future__ import annotations
@@ -250,18 +248,12 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Equal generator tuples give True at once.  When both ideals already
-    hold their reduced grevlex basis, equality is equality of those bases:
-    a reduced basis is unique, and buchberger and _with_grevlex_basis both
-    list it monic and ascending.  Otherwise J must lie in I and the two
-    bases must agree; J's basis is never computed when J is not in I."""
+    """Equal generator tuples, or else equal reduced grevlex bases: a reduced
+    basis is unique (Cox-Little-O'Shea, section 2.7), and every basis here is
+    listed monic and ascending."""
     if I.ring != J.ring:
         raise RingMismatchError(f"ideals in {I.ring} and {J.ring}")
-    if I.generators == J.generators:
-        return True
-    if GREVLEX in I._gb and GREVLEX in J._gb:
-        return I._gb[GREVLEX] == J._gb[GREVLEX]
-    return ideal_contains(I, J) and I.groebner_basis() == J.groebner_basis()
+    return I.generators == J.generators or I.groebner_basis() == J.groebner_basis()
 
 
 def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
@@ -285,21 +277,32 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
 
 def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal of ring generated by basis, a reduced grevlex basis listed
-    ascending, with that basis cached.  The elements may also live in an
-    extension of ring by variables placed last that none of them uses: every
-    index then carries over, and so do the grevlex order and the basis."""
+    ascending, with that basis cached.  contract may pass elements of a
+    larger ring; they are carried over by their terms."""
     gens = [g if g.ring == ring else Polynomial(ring, g.terms) for g in basis]
     ideal = Ideal(ring, gens)
     ideal._gb[GREVLEX] = ideal.generators
     return ideal
 
 
+def contract(I: Ideal, ring: PolyRing) -> Ideal:
+    """I intersected with ring, which must be I.ring's leading variables over
+    the same field.  The trailing block is eliminated; as it comes last, each
+    surviving index and the grevlex order mean the same in ring, so the
+    elimination's reduced grevlex basis is cached on the result."""
+    big = I.ring
+    if ring.field != big.field or big.variables[:ring.nvars] != ring.variables:
+        raise RingMismatchError(f"{ring} is not the leading variables of {big}")
+    block = range(ring.nvars, big.nvars)
+    basis = eliminate(I, block).generators if block else I.groebner_basis()
+    return _with_grevlex_basis(ring, basis)
+
+
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity), by adjoining a fresh variable w, forming I + (w*g - 1),
-    and eliminating w.  w comes last, so the elimination's cached basis
-    carries back to the ring of I.  The result is cached on I per g, so each
-    saturation of an ideal is computed once; the result's own cache starts
-    empty."""
+    and contracting back to the ring of I.  The result is cached on I per g,
+    so each saturation of an ideal is computed once; the result's own cache
+    starts empty."""
     ring = I.ring
     if g.ring != ring:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
@@ -315,14 +318,13 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     w = ext.variable(aux)
     gens = [h.transport(ext) for h in I.generators]
     gens.append(w * g.transport(ext) - ext.one())
-    sat = _with_grevlex_basis(ring, eliminate(Ideal(ext, gens), [aux]).generators)
+    sat = contract(Ideal(ext, gens), ring)
     I._sat[g] = sat
     return sat
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I intersect J, by eliminating t from t*I + (1-t)*J.  t comes last, so
-    the elimination's cached basis carries back to the ring of I and J."""
+    """I intersect J: t*I + (1-t)*J contracted back to their ring."""
     ring = I.ring
     if J.ring != ring:
         raise RingMismatchError(f"ideals in {ring} and {J.ring}")
@@ -332,8 +334,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     one_minus_t = ext.one() - t
     gens = [t * h.transport(ext) for h in I.generators]
     gens.extend(one_minus_t * h.transport(ext) for h in J.generators)
-    meet = eliminate(Ideal(ext, gens), [aux])
-    return _with_grevlex_basis(ring, meet.generators)
+    return contract(Ideal(ext, gens), ring)
 
 
 def localized_equal(I: Ideal, J: Ideal, g: Polynomial) -> bool:

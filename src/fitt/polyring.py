@@ -501,12 +501,6 @@ class Polynomial:
     def is_unit_constant(self) -> bool:
         return len(self.terms) == 1 and ONE_MONOMIAL in self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     def _check(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
             raise RingMismatchError(f"operands in {self.ring} and {other.ring}")

@@ -21,9 +21,11 @@ The chart Fitting ideals are computed on the pruned presentation of each
 chart (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
 equals U_j*x_r^{v_r} there, so dropping it and its relation gives an
 isomorphic algebra with the same differentials, and the Fitting index does
-not change.  thm41 and cor42 compare on the pruned ring.  image eliminates
-in the full chart ring R, where the pruned Fitting ideal F' pulls back to
-F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.
+not change.  thm41 and cor42 compare on the pruned ring.  image works in
+the full chart ring R, where the pruned Fitting ideal F' pulls back to
+F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.  R
+lists x_1..x_n before the U block, so groebner.contract takes F'R + J to
+k[x] directly.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import Optional, Sequence, Union
 
 from .groebner import (
     Ideal,
-    _with_grevlex_basis,
-    eliminate,
+    contract,
     ideal_contains,
     ideal_equal,
     ideal_intersect,
@@ -200,9 +201,9 @@ def check_corollary42(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> 
 # Schematic image of the Fitting subscheme equals the blow-up center
 
 def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tuple[bool, list[ChartCheck]]:
-    """Contract each chart Fitting ideal (r > l) down to the x-variables by
-    eliminating the U block, intersect the contractions, and compare with the
-    center's ideal.  Per-chart entries record containment of the center.
+    """Contract each chart Fitting ideal (r > l) to k[x], the leading
+    variables of the chart ring, intersect the contractions, and compare with
+    the center's ideal.  Per-chart entries record containment of the center.
     The Fitting ideal is computed on the pruned chart and pulled back to the
     full chart ring as its generators plus the chart relations."""
     params.validate()
@@ -220,10 +221,7 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
         ring = chart.algebra.ring
         pruned = kaehler_fitting(_pruned_chart(params, r).algebra, index)
         fitt = Ideal(ring, [g.transport(ring) for g in pruned.generators] + list(chart.algebra.relations.generators))
-        ublock = [name for name in ring.variables if name.startswith("U")]
-        # the U block comes last in the chart ring, so the elimination's
-        # cached basis carries over to the x-ring
-        contraction = _with_grevlex_basis(xring, eliminate(fitt, ublock).generators)
+        contraction = contract(fitt, xring)
         combined = contraction if combined is None else ideal_intersect(combined, contraction)
         details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))
     ok = combined is not None and ideal_equal(combined, center)

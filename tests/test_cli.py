@@ -151,6 +151,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("block", ["", ",", " , "])
+    def test_eliminate_empty_block_is_a_usage_error(self, capsys, block):
+        code, out = run_cli(
+            ["eliminate", "--field", "rationals", "--vars", "x,y", "--gens", "y - x^2; x - 1",
+             "--block", block]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --block needs at least one variable name\n"
+
     def test_fitting_empty_matrix_is_one_generator_without_relations(self):
         argv = ["fitting", "--field", "rationals", "--vars", "x", "--matrix", ""]
         assert run_cli(argv + ["--index", "0"]) == (0, "0\n")

@@ -7,6 +7,7 @@ from fitt import groebner
 from fitt.groebner import (
     Ideal,
     buchberger,
+    contract,
     eliminate,
     ideal_contains,
     ideal_equal,
@@ -146,12 +147,46 @@ class TestEliminate:
         got = eliminate(Ideal(rxy, [rxy.parse("y - x^2"), rxy.parse("x - 1")]), ["x"])
         assert ideal_equal(got, Ideal(rxy, [rxy.parse("y - 1")]))
 
+    def test_empty_block_keeps_the_generators(self, rxy):
+        I = Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")])
+        assert eliminate(I, []).generators == I.generators
+
     def test_result_free_of_block_variables(self, rxy):
         got = eliminate(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
         xidx = rxy.index("x")
         for g in got.generators:
             assert xidx not in g.variables_used()
         assert not got.is_zero()
+
+
+class TestContract:
+    def test_drops_the_trailing_variables(self):
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        I = Ideal(ring, [ring.parse("x - z^2"), ring.parse("y - z^3")])
+        rxy = PolyRing(QQ, ("x", "y"))
+        got = contract(I, rxy)
+        assert got.ring == rxy
+        assert got.generators == (rxy.parse("x^3 - y^2"),)
+        assert got._gb[GREVLEX] == got.generators
+
+    def test_the_whole_ring_gives_the_reduced_basis(self, rxy):
+        I = Ideal(rxy, [rxy.parse("x + y"), rxy.parse("y")])
+        got = contract(I, rxy)
+        assert got.generators == I.groebner_basis() == (rxy.parse("y"), rxy.parse("x"))
+
+    @pytest.mark.parametrize("field, names", [
+        (QQ, ("y",)),
+        (QQ, ("y", "x")),
+        (QQ, ("x", "z")),
+        (QQ, ("x", "y", "z", "w")),
+        (F2, ("x",)),
+        (F2, ("x", "y", "z")),
+    ], ids=["not-leading", "reordered", "gap", "larger", "other-field", "other-field-same-names"])
+    def test_a_ring_other_than_leading_variables_raises(self, field, names):
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        I = Ideal(ring, [ring.parse("x*y - z")])
+        with pytest.raises(RingMismatchError):
+            contract(I, PolyRing(field, names))
 
 
 class TestSaturate:
@@ -481,11 +516,13 @@ def test_seeded_bases_match_fresh_buchberger(characteristic):
     ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
     rng = random.Random(6000 + characteristic)
     nontrivial = 0
-    for _ in range(20):
+    for trial in range(20):
         I, J = _random_ideal(rng, ring), _random_ideal(rng, ring)
         g = _random_polynomial(rng, ring, 2)
         v = rng.choice(ring.variables)
-        results = [ideal_intersect(I, J), eliminate(I, [v])]
+        # contract to the first 1, 2 or all 3 variables in turn
+        leading = PolyRing(ring.field, ring.variables[:1 + trial % 3])
+        results = [ideal_intersect(I, J), eliminate(I, [v]), contract(I, leading)]
         if not g.is_constant():
             results.append(saturate(I, g))
         for X in results:
@@ -628,21 +665,13 @@ def test_ideal_equal_matches_two_way_containment(characteristic):
     assert seen["equal"] >= 10 and seen["strict"] >= 5 and seen["incomparable"] >= 5, seen
 
 
-def test_ideal_equal_skips_the_basis_of_an_ideal_not_contained(rxy, monkeypatch):
-    calls = _record_calls(monkeypatch, "buchberger")
-    I, J = Ideal(rxy, [rxy.parse("x")]), Ideal(rxy, [rxy.parse("y")])
+@pytest.mark.parametrize("texts", [("x", "x*y, x^2"), ("x", "y")], ids=["strict", "incomparable"])
+def test_ideal_equal_runs_no_membership_test(rxy, monkeypatch, texts):
+    members = _record_calls(monkeypatch, "ideal_member")
+    I, J = (Ideal(rxy, [rxy.parse(t) for t in text.split(", ")]) for text in texts)
     assert not ideal_equal(I, J)
-    assert calls == [(rxy, I.generators, GREVLEX)]
-    assert GREVLEX not in J._gb
-
-
-def test_ideal_equal_skips_the_basis_when_only_one_side_is_cached(rxy, monkeypatch):
-    I, J = Ideal(rxy, [rxy.parse("x")]), Ideal(rxy, [rxy.parse("y")])
-    I.groebner_basis()
-    calls = _record_calls(monkeypatch, "buchberger")
-    assert not ideal_equal(I, J)
-    assert calls == []
-    assert GREVLEX not in J._gb
+    assert not ideal_equal(J, I)
+    assert members == []
 
 
 class TestIdealEqualShortcuts:
