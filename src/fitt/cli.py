@@ -322,6 +322,8 @@ def _cmd_verify_grid(args) -> _Result:
     if args.file is None:
         raise UsageError("--file is required (one 'p=.. n=.. s=.. l=.. v=..' tuple per line)")
     grid = [ReesParams.parse(line) for line in _read_lines(args.file)]
+    if not grid:
+        raise UsageError(f"{args.file} holds no parameter tuples")
     reports = run_grid(grid, _policy_from_args(args), workers=args.workers)
     timing = not args.no_timing
     lines = [

@@ -18,14 +18,14 @@ polyring.add_terms, so this module never sees how coefficients are stored:
 it asks the field for inverses and leaves sums and zeros to that kernel.
 
 Leading terms are memoized per polynomial and order (see
-Polynomial.leading_term).  reduce computes each monomial's order key once per
-call, and a divisor's inverse only when that divisor divides.  An
-elimination, contraction, saturation or intersection arrives with its
-grevlex basis cached: by the Elimination Theorem (Cox-Little-O'Shea, Ideals,
-Varieties, and Algorithms, section 3.1) the block-free part of the reduced
-block-order basis, whose ties break by grevlex, is the reduced grevlex basis
-of the elimination ideal.  contract is the one place that moves it to a
-smaller ring, which needs the eliminated block last.
+Polynomial.leading_term).  reduce computes a divisor's inverse only when
+that divisor divides.  An elimination, contraction, saturation or
+intersection arrives with its grevlex basis cached: by the Elimination
+Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
+the block-free part of the reduced block-order basis, whose ties break by
+grevlex, is the reduced grevlex basis of the elimination ideal.  contract is
+the one place that moves it to a smaller ring, which needs the eliminated
+block last.
 """
 
 from __future__ import annotations
@@ -94,19 +94,6 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # Division
 
-class _OrderKeys(dict):
-    """Each monomial's order key, computed on its first lookup."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __missing__(self, m: Monomial):
-        k = self[m] = self.key(m)
-        return k
-
-
 def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
     """Normal form of f against basis: no remainder term is divisible by any
     basis leading term, and f minus the result lies in the ideal the basis
@@ -121,10 +108,10 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
             lm, lc = g.leading_term(order)
             divisors.append((lm, lc, g.terms))
     work = dict(f.terms)
-    keys = _OrderKeys(ring.sort_key(order))
+    key = ring.sort_key(order)
     remainder: dict[Monomial, object] = {}
     while work:
-        m = max(work, key=keys.__getitem__)
+        m = max(work, key=key)
         c = work[m]
         for lm, lc, gterms in divisors:
             if mono_divides(lm, m):

@@ -92,10 +92,6 @@ class CoefficientField:
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
     def normalize(self, value: Union[int, Fraction]) -> Coeff:
         p = self.characteristic
         if p:
@@ -279,14 +275,6 @@ class MonomialOrder:
     block: frozenset[int] = field(default_factory=frozenset)
 
     @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex")
-
-    @staticmethod
-    def grevlex() -> "MonomialOrder":
-        return MonomialOrder("grevlex")
-
-    @staticmethod
     def elimination(block: Iterable[int]) -> "MonomialOrder":
         return MonomialOrder("block", frozenset(block))
 
@@ -313,7 +301,7 @@ class MonomialOrder:
         if self.kind == "block":
             blockvars = sorted(self.block)
             pos = {v: i for i, v in enumerate(blockvars)}
-            inner_key = MonomialOrder.grevlex().key_function(nvars)
+            inner_key = GREVLEX.key_function(nvars)
             def key(m: Monomial) -> tuple:
                 bdense = [0] * len(blockvars)
                 rest = []
@@ -333,8 +321,8 @@ class MonomialOrder:
         return (x > y) - (x < y)
 
 
-GREVLEX = MonomialOrder.grevlex()
-LEX = MonomialOrder.lex()
+GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex")
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +483,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and ONE_MONOMIAL in self.terms)
-
     def is_unit_constant(self) -> bool:
         return len(self.terms) == 1 and ONE_MONOMIAL in self.terms
 
@@ -557,10 +542,7 @@ class Polynomial:
         c = field.normalize(c)
         if not c:
             return self.ring.zero()
-        out = Polynomial(self.ring, add_terms({}, c, ONE_MONOMIAL, self.terms, field))
-        # a unit multiple has the same monomials, hence the same lead
-        object.__setattr__(out, "_lead", self._lead)
-        return out
+        return Polynomial(self.ring, add_terms({}, c, ONE_MONOMIAL, self.terms, field))
 
     def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         lead = self._lead
@@ -580,13 +562,6 @@ class Polynomial:
         if c == 1:
             return self
         return self.scale(self.ring.field.inverse(c))
-
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for m in self.terms:
-            for idx, _ in m:
-                used.add(idx)
-        return used
 
     def derivative(self, var: Union[str, int]) -> "Polynomial":
         """Formal partial derivative; exponents divisible by p contribute 0."""

@@ -30,8 +30,8 @@ k[x] directly.
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -293,10 +293,6 @@ def evaluate_params(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> Ve
     return report
 
 
-def _evaluate_star(job: tuple[ReesParams, Policy]) -> VerificationReport:
-    return evaluate_params(*job)
-
-
 def run_grid(
     grid: Sequence[ReesParams],
     policy: Policy = POLICY_CORRECTED,
@@ -305,11 +301,14 @@ def run_grid(
     """Evaluate each tuple independently; report order follows input order.
     Invalid tuples and exponent overflows are reported as skipped, never
     aborting the run."""
-    jobs = [(params, policy) for params in grid]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_evaluate_star(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_evaluate_star, jobs))
+    policies = itertools.repeat(policy)
+    if workers <= 1 or len(grid) <= 1:
+        return list(map(evaluate_params, grid, policies))
+    # the pool machinery is loaded only when a run asks for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
+        return list(pool.map(evaluate_params, grid, policies))
 
 
 def default_grid() -> list[ReesParams]:

