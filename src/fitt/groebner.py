@@ -209,7 +209,7 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         reduced.append(reduce(g, others, order).monic(order))
-    reduced.sort(key=lambda g: key(g.leading_term(order)[0]))
+    # still ascending: no kept leading term divides another, so reduce keeps each one
     return tuple(reduced)
 
 

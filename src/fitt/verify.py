@@ -17,8 +17,8 @@ unit ideal for r <= l and (x_r, U_s..U_l) plus relations for r > l.  Both
 ideals contain J and C -> C[T_r^{+-1}] is faithfully flat, so the localized
 equality holds exactly when the chart equality does.
 
-The chart Fitting ideals are computed on the pruned presentation of each
-chart (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
+Every chart Fitting ideal comes from one route, _chart_fittings, on the pruned
+presentation (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
 equals U_j*x_r^{v_r} there, so dropping it and its relation gives an
 isomorphic algebra with the same differentials, and the Fitting index does
 not change.  thm41 and cor42 compare on the pruned ring.  image works in
@@ -31,9 +31,10 @@ k[x] directly.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .groebner import (
     Ideal,
@@ -173,24 +174,25 @@ def _chart_expected(params: ReesParams, chart: ChartAlgebra) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _pruned_chart(params: ReesParams, r: int) -> ChartAlgebra:
-    return ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[tuple[int, ChartAlgebra, Ideal, float]]:
+    """The one route to chart Fitting ideals: for r = first..n, yield r, the pruned
+    chart, its Fitt at chart_fitting_index, and the chart's perf_counter start time."""
+    params.validate()
+    index = chart_fitting_index(params, policy)
+    for r in range(first, params.n + 1):
+        start = time.perf_counter()
+        chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+        yield r, chart, kaehler_fitting(chart.algebra, index), start
 
 
 def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> list[ChartCheck]:
     """Per chart: the Fitting ideal of the chart algebra equals the unit ideal
     (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l), both on
     the chart's pruned presentation."""
-    params.validate()
-    index = chart_fitting_index(params, policy)
-    out = []
-    for r in range(params.s, params.n + 1):
-        start = time.perf_counter()
-        chart = _pruned_chart(params, r)
-        fitt = kaehler_fitting(chart.algebra, index)
-        equal = ideal_equal(fitt, _chart_expected(params, chart))
-        out.append(ChartCheck(r, equal, _ms(start)))
-    return out
+    return [
+        ChartCheck(r, ideal_equal(fitt, _chart_expected(params, chart)), _ms(start))
+        for r, chart, fitt, start in _chart_fittings(params, policy, params.s)
+    ]
 
 
 def check_corollary42(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> bool:
@@ -207,7 +209,6 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     The Fitting ideal is computed on the pruned chart and pulled back to the
     full chart ring as its generators plus the chart relations."""
     params.validate()
-    index = chart_fitting_index(params, policy)
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
     center = Ideal(
         xring,
@@ -215,12 +216,10 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     )
     details = []
     combined: Optional[Ideal] = None
-    for r in range(params.l + 1, params.n + 1):
-        start = time.perf_counter()
-        chart = chart_presentation(params, r)
-        ring = chart.algebra.ring
-        pruned = kaehler_fitting(_pruned_chart(params, r).algebra, index)
-        fitt = Ideal(ring, [g.transport(ring) for g in pruned.generators] + list(chart.algebra.relations.generators))
+    for r, _, pruned, start in _chart_fittings(params, policy, params.l + 1):
+        full = chart_presentation(params, r).algebra
+        ring = full.ring
+        fitt = Ideal(ring, [g.transport(ring) for g in pruned.generators] + list(full.relations.generators))
         contraction = contract(fitt, xring)
         combined = contraction if combined is None else ideal_intersect(combined, contraction)
         details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))
@@ -282,7 +281,6 @@ def evaluate_params(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> Ve
     charts, and image = center.  An invalid tuple, or one whose computation
     needs an exponent above the cap, is reported as skipped."""
     try:
-        params.validate()
         report = check_theorem41(params, policy)
         report.corollary_ok = check_corollary42(params, policy)
         report.image_ok = check_image_equals_center(params, policy)
@@ -302,12 +300,13 @@ def run_grid(
     Invalid tuples and exponent overflows are reported as skipped, never
     aborting the run."""
     policies = itertools.repeat(policy)
-    if workers <= 1 or len(grid) <= 1:
+    size = min(workers, len(grid), os.cpu_count() or 1)
+    if size <= 1:
         return list(map(evaluate_params, grid, policies))
     # the pool machinery is loaded only when a run asks for it
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(evaluate_params, grid, policies))
 
 

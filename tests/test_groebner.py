@@ -506,6 +506,29 @@ def _random_ideal(rng, ring):
     return Ideal(ring, [_random_polynomial(rng, ring, 2) for _ in range(rng.randint(1, 2))])
 
 
+@pytest.mark.parametrize("characteristic", [0, 5])
+@pytest.mark.parametrize(
+    "order", [LEX, GREVLEX, MonomialOrder.elimination({0})], ids=["lex", "grevlex", "block"]
+)
+def test_basis_ascends_by_leading_monomial(characteristic, order):
+    """ideal_equal compares reduced bases as tuples, which needs every basis
+    listed in one canonical order: strictly ascending by leading monomial."""
+    ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+    key = ring.sort_key(order)
+    cases = [
+        [ring.parse("x^2*y - z"), ring.parse("x*y^2 - x"), ring.parse("z^2 - y")],
+        [ring.parse("x^3 - y*z"), ring.parse("y^3 - x*z"), ring.parse("z^3 - x*y")],
+    ]
+    rng = random.Random(7000 + characteristic)
+    cases.extend([_random_polynomial(rng, ring, 3) for _ in range(3)] for _ in range(20))
+    longest = 0
+    for gens in cases:
+        keys = [key(g.leading_term(order)[0]) for g in buchberger(ring, gens, order)]
+        assert keys == sorted(set(keys)), gens
+        longest = max(longest, len(keys))
+    assert longest >= 4
+
+
 def _assert_seeded_basis_is_fresh(X):
     assert GREVLEX in X._gb, X
     assert X.groebner_basis() == buchberger(X.ring, X.generators, GREVLEX), X

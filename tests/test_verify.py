@@ -323,12 +323,13 @@ class TestRunGrid:
         strip = lambda reports: [r.to_dict(include_timing=False) for r in reports]
         assert strip(serial) == strip(parallel)
 
-    def test_pool_is_capped_at_job_count(self, monkeypatch):
+    @staticmethod
+    def _stand_in_pool(monkeypatch, cpus):
+        """Replace ProcessPoolExecutor by a serial stand-in that records its
+        size and starts no process, on a host reporting `cpus` CPUs."""
         sized = []
 
         class SerialPool:
-            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
-
             def __init__(self, max_workers):
                 sized.append(max_workers)
 
@@ -342,10 +343,24 @@ class TestRunGrid:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return sized
+
+    def test_pool_is_capped_at_job_count(self, monkeypatch):
+        sized = self._stand_in_pool(monkeypatch, 64)
         grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(3, 2, 1, 1, (3, 1))]
         reports = run_grid(grid, workers=10_000)
         assert sized == [2]
         assert [r.status for r in reports] == ["pass", "pass"]
+
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])])
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch, cpus, sizes):
+        """A pool never outnumbers the CPUs; a pool of one runs serially."""
+        sized = self._stand_in_pool(monkeypatch, cpus)
+        grid = [ReesParams(p, 2, 1, 1, (p, 1)) for p in (2, 3, 5, 7, 11)]
+        reports = run_grid(grid, workers=5_000)
+        assert sized == sizes
+        assert [r.status for r in reports] == ["pass"] * 5
 
     def test_importing_fitt_loads_no_process_pool(self):
         """Only a grid run with more than one worker needs the pool modules."""
