@@ -526,6 +526,12 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
+        if e and len(self.terms) == 1:
+            # a single term: (c*m)^e = c^e * m^e, with no repeated squaring
+            ((m, c),) = self.terms.items()
+            p = self.ring.field.characteristic
+            mono = mono_from_pairs((idx, exp * e) for idx, exp in m)
+            return Polynomial(self.ring, {mono: pow(c, e, p) if p else c**e})
         result = self.ring.one()
         base = self
         while e:

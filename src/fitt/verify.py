@@ -26,10 +26,17 @@ the full chart ring R, where the pruned Fitting ideal F' pulls back to
 F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.  R
 lists x_1..x_n before the U block, so groebner.contract takes F'R + J to
 k[x] directly.
+
+_chart_fittings keeps a memo of the most recent row, keyed by the tuple and
+the chart index: each chart's pruned presentation and Fitting ideal are
+computed once, and each chart's verdict once, however many of thm41, cor42
+and image ask for them.  A new row replaces the memo, so it holds one row at
+most.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -93,6 +100,10 @@ def _ms(start: float) -> int:
 
 @dataclass(frozen=True)
 class ChartCheck:
+    """One chart's verdict.  For thm41 and cor42, ms times the chart's first
+    computation in its row, so both report the same value; for image, only
+    image's own pull-back, contraction and containment test."""
+
     r: int
     equal: bool
     ms: int
@@ -174,25 +185,55 @@ def _chart_expected(params: ReesParams, chart: ChartAlgebra) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[tuple[int, ChartAlgebra, Ideal, float]]:
-    """The one route to chart Fitting ideals: for r = first..n, yield r, the pruned
-    chart, its Fitt at chart_fitting_index, and the chart's perf_counter start time."""
+class _ChartEntry:
+    """One chart of the memoized row: the pruned chart, its Fitting ideal at
+    the chart index, the seconds taken to build both and, once computed,
+    cor42's verdict.  (A plain class: a dataclass adds to import time.)"""
+
+    __slots__ = ("chart", "fitting", "seconds", "check")
+
+    def __init__(self, chart: ChartAlgebra, fitting: Ideal, seconds: float):
+        self.chart, self.fitting, self.seconds = chart, fitting, seconds
+        self.check: Optional[ChartCheck] = None
+
+
+@functools.lru_cache(maxsize=1)
+def _row_memo(p: int, n: int, s: int, l: int, v: tuple[int, ...], index: int) -> dict[int, _ChartEntry]:
+    """Chart r -> entry for the most recent row; a new key replaces it.  The
+    key is the tuple's fields, so a v given as a list is accepted too."""
+    return {}
+
+
+def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[tuple[int, _ChartEntry]]:
+    """The one route to chart Fitting ideals: for r = first..n, yield r and the
+    memo entry holding the pruned chart and its Fitt at chart_fitting_index.
+    A chart missing from the row's memo is built and stored when reached, so
+    a caller computes only the charts it iterates over."""
     params.validate()
     index = chart_fitting_index(params, policy)
+    memo = _row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
     for r in range(first, params.n + 1):
-        start = time.perf_counter()
-        chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
-        yield r, chart, kaehler_fitting(chart.algebra, index), start
+        entry = memo.get(r)
+        if entry is None:
+            start = time.perf_counter()
+            chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+            fitting = kaehler_fitting(chart.algebra, index)
+            entry = memo[r] = _ChartEntry(chart, fitting, time.perf_counter() - start)
+        yield r, entry
 
 
 def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> list[ChartCheck]:
     """Per chart: the Fitting ideal of the chart algebra equals the unit ideal
     (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l), both on
     the chart's pruned presentation."""
-    return [
-        ChartCheck(r, ideal_equal(fitt, _chart_expected(params, chart)), _ms(start))
-        for r, chart, fitt, start in _chart_fittings(params, policy, params.s)
-    ]
+    checks = []
+    for r, entry in _chart_fittings(params, policy, params.s):
+        if entry.check is None:
+            start = time.perf_counter()
+            equal = ideal_equal(entry.fitting, _chart_expected(params, entry.chart))
+            entry.check = ChartCheck(r, equal, _ms(start - entry.seconds))
+        checks.append(entry.check)
+    return checks
 
 
 def check_corollary42(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> bool:
@@ -206,8 +247,9 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     """Contract each chart Fitting ideal (r > l) to k[x], the leading
     variables of the chart ring, intersect the contractions, and compare with
     the center's ideal.  Per-chart entries record containment of the center.
-    The Fitting ideal is computed on the pruned chart and pulled back to the
-    full chart ring as its generators plus the chart relations."""
+    The Fitting ideal is computed on the pruned chart (or read from the row's
+    memo) and pulled back to the full chart ring as its generators plus the
+    chart relations."""
     params.validate()
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
     center = Ideal(
@@ -216,10 +258,11 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     )
     details = []
     combined: Optional[Ideal] = None
-    for r, _, pruned, start in _chart_fittings(params, policy, params.l + 1):
+    for r, entry in _chart_fittings(params, policy, params.l + 1):
+        start = time.perf_counter()
         full = chart_presentation(params, r).algebra
         ring = full.ring
-        fitt = Ideal(ring, [g.transport(ring) for g in pruned.generators] + list(full.relations.generators))
+        fitt = Ideal(ring, [g.transport(ring) for g in entry.fitting.generators] + list(full.relations.generators))
         contraction = contract(fitt, xring)
         combined = contraction if combined is None else ideal_intersect(combined, contraction)
         details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))

@@ -90,6 +90,23 @@ class TestArithmetic:
         with pytest.raises(ExponentOverflowError):
             mono_mul(big, ((0, 1),))
 
+    @pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
+    @pytest.mark.parametrize("text", ["3*x^2*y", "-2/3*x*z^4", "7", "y", "0", "x + 2*y"])
+    def test_power_matches_repeated_multiplication(self, field, text):
+        ring = PolyRing(field, ("x", "y", "z"))
+        f = ring.parse(text)
+        product = ring.one()
+        for e in range(8):
+            assert f**e == product, e
+            product = product * f
+
+    def test_single_term_power_past_the_cap_raises(self):
+        ring = PolyRing(F5, ("x", "y"))
+        f = ring.parse(f"3*x^{2**30}*y")
+        assert f**1 == f
+        with pytest.raises(ExponentOverflowError, match=f"exponent {2**31} exceeds cap"):
+            f**2
+
 
 class TestDerivative:
     def test_frobenius_power_dies(self):

@@ -376,6 +376,79 @@ class TestRunGrid:
         assert out == "[]\n"
 
 
+def _chart_vector(report):
+    return tuple(c.equal for c in report.charts)
+
+
+class TestRowMemo:
+    """The chart Fitting ideals and verdicts of the most recent row are
+    computed once and shared by thm41, cor42 and image."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        fitt.verify._row_memo.cache_clear()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of kaehler_fitting and _chart_expected calls through fitt.verify."""
+        counts = {"fitting": 0, "expected": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fitt.verify, "kaehler_fitting", counting("fitting", fitt.verify.kaehler_fitting))
+        monkeypatch.setattr(fitt.verify, "_chart_expected", counting("expected", fitt.verify._chart_expected))
+        return counts
+
+    @pytest.mark.parametrize("text", ["p=3 n=4 s=2 l=3 v=3,3,1", "p=3 n=6 s=1 l=2 v=3,9,1,1,1,1"])
+    def test_evaluate_params_computes_each_chart_once(self, calls, text):
+        params = ReesParams.parse(text)
+        assert evaluate_params(params).status == "pass"
+        assert calls == {"fitting": params.n - params.s + 1, "expected": params.n - params.s + 1}
+
+    def test_image_alone_computes_only_its_charts_and_no_verdicts(self, calls):
+        params = ReesParams.parse("p=2 n=7 s=2 l=3 v=2,4,1,1,1,1")
+        assert image_details(params)[0]
+        assert calls == {"fitting": params.n - params.l, "expected": 0}
+
+    def test_corollary_after_theorem_computes_nothing(self, calls):
+        params = ReesParams.parse("p=3 n=4 s=2 l=3 v=3,3,1")
+        report = check_theorem41(params)
+        before = dict(calls)
+        assert corollary42_details(params) == report.charts
+        assert calls == before
+
+    def test_index_change_replaces_the_row(self):
+        params = ReesParams.parse("p=2 n=3 s=1 l=2 v=2,2,1")
+        vectors = [_chart_vector(evaluate_params(params, index)) for index in (4, 6, 4)]
+        assert vectors == [(False, False, False), (True, True, False), (False, False, False)]
+
+    def test_policy_change_keeps_both_verdicts(self):
+        params = ReesParams.parse("p=2 n=3 s=2 l=2 v=2,1")
+        paper = evaluate_params(params, "paper")
+        corrected = evaluate_params(params, "corrected")
+        assert (paper.status, _chart_vector(paper), paper.corollary_ok, paper.image_ok) == (
+            "fail",
+            (True, False),
+            False,
+            False,
+        )
+        assert (corrected.status, _chart_vector(corrected)) == ("pass", (True, True))
+
+    def test_overflowing_row_leaves_the_next_row_unchanged(self):
+        # at index 5 the overflow row builds charts 1 and 2, then overflows on chart 3
+        overflow = ReesParams(2, 4, 1, 3, (2, 2, 2147483646, 1))
+        following = ReesParams(2, 4, 1, 3, (2, 2, 2, 1))
+        fresh = evaluate_params(following, 5).to_dict(include_timing=False)
+        for _ in range(2):
+            assert evaluate_params(overflow, 5).reason == "exponent 4294967292 exceeds cap 2147483647"
+        assert evaluate_params(following, 5).to_dict(include_timing=False) == fresh
+
+
 def test_evaluate_params_full_row():
     report = evaluate_params(ReesParams(2, 2, 1, 1, (2, 1)))
     assert report.status == "pass"
