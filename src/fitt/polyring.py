@@ -12,6 +12,7 @@ the rule that a map holds no zero coefficient live in that function alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -358,8 +359,10 @@ def add_terms(
 # ---------------------------------------------------------------------------
 # Rings and polynomials
 
-_IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_REST = _IDENT_FIRST | set("0123456789")
+# The tokens of polynomial text: an ASCII integer, a name, or any other single
+# non-space character.  finditer skips the whitespace between them, and a
+# variable name is valid exactly when it is one "name" token.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<char>\S)")
 
 
 class PolyRing:
@@ -373,7 +376,8 @@ class PolyRing:
             raise ValueError("a ring needs at least one variable")
         seen = set()
         for name in names:
-            if not name or name[0] not in _IDENT_FIRST or any(c not in _IDENT_REST for c in name):
+            match = _TOKEN.fullmatch(name)
+            if match is None or match.lastgroup != "name":
                 raise ValueError(f"invalid variable name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
@@ -678,125 +682,89 @@ def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def take_ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_FIRST:
-            raise ParseError("expected an identifier", start)
-        self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_REST:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse the grammar::
 
-        poly  := ["+"|"-"] term (("+"|"-") term)*
-        term  := coeff ("*" monom)? | monom
+        poly  := term (("+"|"-") term)*
+        term  := ["+"|"-"] (coeff ["*" monom] | monom)
+        coeff := uint ["/" uint]
         monom := factor ("*" factor)*
-        factor:= ident ("^" uint)?
-        coeff := ["+"|"-"] int | int "/" uint
+        factor:= name ["^" uint]
 
-    Whitespace is insignificant; coefficients are reduced into the field.
+    A name is an ASCII letter followed by ASCII letters or digits, and an
+    integer is a run of ASCII digits.  Whitespace is insignificant;
+    coefficients are reduced into the field.  A ParseError carries the
+    position in text where reading failed, len(text) if the input ended.
     """
-    tz = _Tokenizer(text)
+    tokens = [(m.start(), m.lastgroup, m.group()) for m in _TOKEN.finditer(text)]
+    tokens.append((len(text), None, ""))
     fld = ring.field
-    result = ring.zero()
+    at = 0
 
-    def parse_factor() -> Monomial:
-        tz.skip_ws()
-        pos = tz.pos
-        name = tz.take_ident()
-        try:
-            idx = ring.index(name)
-        except UnknownVariableError:
-            raise ParseError(f"unknown variable {name!r}", pos) from None
-        exp = 1
-        if tz.take("^"):
-            exp = tz.take_int()
+    def take(ch: str) -> bool:
+        nonlocal at
+        if tokens[at][2] != ch:
+            return False
+        at += 1
+        return True
+
+    def expect(kind: str, message: str) -> tuple[int, str]:
+        nonlocal at
+        pos, got, tok = tokens[at]
+        if got != kind:
+            raise ParseError(message, pos)
+        at += 1
+        return pos, tok
+
+    def parse_monomial() -> Monomial:
+        mono = ONE_MONOMIAL
+        while True:
+            pos, name = expect("name", "expected an identifier")
+            try:
+                idx = ring.index(name)
+            except UnknownVariableError:
+                raise ParseError(f"unknown variable {name!r}", pos) from None
+            exp = int(expect("int", "expected an integer")[1]) if take("^") else 1
             if exp > EXPONENT_CAP:
                 raise ExponentOverflowError(f"exponent {exp} exceeds cap {EXPONENT_CAP}")
-        return ((idx, exp),) if exp else ONE_MONOMIAL
+            if exp:
+                mono = mono_mul(mono, ((idx, exp),))
+            if not take("*"):
+                return mono
 
     def parse_term(sign: int) -> Polynomial:
-        tz.skip_ws()
-        pos = tz.pos
-        ch = tz.peek()
-        if ch in "+-":
-            tz.take(ch)
-            sign *= -1 if ch == "-" else 1
-            ch = tz.peek()
-        if ch.isdigit():
-            num = tz.take_int()
-            if tz.take("/"):
-                den_pos = tz.pos
-                den = tz.take_int()
+        nonlocal at
+        pos, _, tok = tokens[at]
+        if tok in ("+", "-"):
+            at += 1
+            sign = -sign if tok == "-" else sign
+        _, kind, tok = tokens[at]
+        if kind == "int":
+            at += 1
+            num = int(tok)
+            if take("/"):
+                den_pos = tokens[at - 1][0] + 1
+                den = int(expect("int", "expected an integer")[1])
                 try:
                     coeff = fld.of(num, den)
                 except FieldDivisionError as err:
                     raise ParseError(str(err), den_pos) from None
             else:
                 coeff = fld.normalize(num)
-            mono = ONE_MONOMIAL
-            if tz.take("*"):
-                mono = parse_factor()
-                while tz.take("*"):
-                    mono = mono_mul(mono, parse_factor())
+            mono = parse_monomial() if take("*") else ONE_MONOMIAL
             return ring.term(coeff if sign > 0 else -coeff, mono)
-        if ch in _IDENT_FIRST:
-            mono = parse_factor()
-            while tz.take("*"):
-                mono = mono_mul(mono, parse_factor())
-            return ring.term(sign, mono)
+        if kind == "name":
+            return ring.term(sign, parse_monomial())
         raise ParseError("expected a term", pos)
 
-    first = True
+    if len(tokens) == 1:
+        raise ParseError("empty input", len(text))
+    result = parse_term(1)
     while True:
-        tz.skip_ws()
-        if tz.pos >= len(tz.text):
-            if first:
-                raise ParseError("empty input", tz.pos)
-            break
-        if first:
-            result = result + parse_term(1)
-            first = False
-            continue
-        ch = tz.peek()
-        if ch == "+":
-            tz.take("+")
-            result = result + parse_term(1)
-        elif ch == "-":
-            tz.take("-")
-            result = result + parse_term(-1)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", tz.pos)
-    return result
+        pos, kind, tok = tokens[at]
+        if kind is None:
+            return result
+        if tok not in ("+", "-"):
+            raise ParseError(f"unexpected character {tok[0]!r}", pos)
+        at += 1
+        result = result + parse_term(1 if tok == "+" else -1)

@@ -13,6 +13,7 @@ computed on request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .fitmod import PresentedAlgebra
 from .groebner import Ideal, saturate
@@ -134,14 +135,8 @@ def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Pre
     names = [f"x{i}" for i in range(1, n + 1)]
     names.extend(f"T{i}" for i, _ in powers)
     ring = PolyRing(field, names)
-    gens = []
-    for a in range(len(powers)):
-        i, ei = powers[a]
-        for b in range(a + 1, len(powers)):
-            j, ej = powers[b]
-            xi = ring.variable(f"x{i}") ** ei
-            xj = ring.variable(f"x{j}") ** ej
-            gens.append(xi * ring.variable(f"T{j}") - xj * ring.variable(f"T{i}"))
+    factors = [(ring.variable(f"x{i}") ** e, ring.variable(f"T{i}")) for i, e in powers]
+    gens = [xi * tj - xj * ti for (xi, ti), (xj, tj) in combinations(factors, 2)]
     return PresentedAlgebra(ring, Ideal(ring, gens))
 
 
@@ -214,7 +209,6 @@ def rees_presentation(params: ReesParams) -> PresentedAlgebra:
 def target_ideal(params: ReesParams) -> Ideal:
     """The comparison ideal (x_s^{v_s}, ..., x_n^{v_n}, T_s, ..., T_l) plus
     the Rees relations, in the Rees ambient ring."""
-    params.validate()
     algebra = rees_presentation(params)
     ring = algebra.ring
     gens = [ring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)]
@@ -225,7 +219,6 @@ def target_ideal(params: ReesParams) -> Ideal:
 
 def exceptional_ideal(params: ReesParams) -> Ideal:
     """Ideal of the exceptional divisor: the center's generators plus relations."""
-    params.validate()
     algebra = rees_presentation(params)
     ring = algebra.ring
     gens = [ring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)]

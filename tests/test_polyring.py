@@ -218,6 +218,59 @@ class TestParsePrint:
     def test_parse_polynomial_function(self, rxy):
         assert parse_polynomial("x*y", rxy) == rxy.variable("x") * rxy.variable("y")
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x y", "unexpected character 'y'", 2),
+            ("--x", "expected a term", 0),
+            ("x^2^3", "unexpected character '^'", 3),
+            ("2*3", "expected an identifier", 2),
+            ("x^", "expected an integer", 2),
+            ("x^-1", "expected an integer", 2),
+            ("1/ 0*x", "zero denominator", 2),
+            ("", "empty input", 0),
+            ("   ", "empty input", 3),
+            ("x_1", "unexpected character '_'", 1),
+            ("x + z", "unknown variable 'z'", 4),
+            ("x + ", "expected a term", 4),
+        ],
+    )
+    def test_error_message_and_position(self, rxy, text, message, position):
+        with pytest.raises(ParseError) as err:
+            rxy.parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["x - -y", "x\u00a0+ y"])
+    def test_accepted_forms(self, rxy, text):
+        assert rxy.parse(text) == rxy.variable("x") + rxy.variable("y")
+
+    @pytest.mark.parametrize("text", ["x^\u00b2", "\u00b2", "x^\u0663"])
+    def test_non_ascii_digits_are_rejected(self, rxy, text):
+        with pytest.raises(ParseError):
+            rxy.parse(text)
+
+    def test_random_text_raises_only_parse_errors(self):
+        alphabet = ["x", "y", "z", "x1", "0", "1", "2", "3", "+", "-", "*", "/", "^",
+                    " ", "\t", "\u00a0", "_", "(", "\u00b2", "\u0663"]
+        rng = random.Random(17)
+        rings = [PolyRing(field, ("x", "y", "x1")) for field in (QQ, F5)]
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            try:
+                rng.choice(rings).parse(text)
+            except (ParseError, ExponentOverflowError):
+                pass
+
+    @pytest.mark.parametrize("name", ["x", "T2", "xY09"])
+    def test_valid_variable_names(self, name):
+        assert PolyRing(QQ, (name,)).variables == (name,)
+
+    @pytest.mark.parametrize("name", ["", "1x", "x_1", "_x", "x ", " x", "x-y", "\u00e9", "x\u00b2", "x\u0663"])
+    def test_invalid_variable_names(self, name):
+        with pytest.raises(ValueError, match="invalid variable name"):
+            PolyRing(QQ, (name,))
+
 
 # ---------------------------------------------------------------------------
 # Arithmetic against sympy (test-only dependency)
