@@ -48,13 +48,13 @@ from .polyring import (
 from .properties import DEFAULT_SEED, properties_ok, run_properties
 from .rees import (
     ReesParams,
-    ReesParamsError,
     chart_presentation,
     micali_kernel,
     rees_presentation,
 )
 from .verify import (
     POLICY_CORRECTED,
+    POLICY_PAPER,
     VerificationReport,
     check_theorem41,
     corollary42_details,
@@ -319,8 +319,6 @@ def _grid_flag(x) -> str:
 def _cmd_verify_grid(args) -> _Result:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    if args.file is None:
-        raise UsageError("--file is required (one 'p=.. n=.. s=.. l=.. v=..' tuple per line)")
     grid = [ReesParams.parse(line) for line in _read_lines(args.file)]
     if not grid:
         raise UsageError(f"{args.file} holds no parameter tuples")
@@ -378,7 +376,7 @@ _PARAMS = (
     _opt("--v", required=True, help="comma-separated exponents v_s..v_n"),
 )
 _POLICY = (
-    _opt("--policy", choices=("paper", "corrected"), default=POLICY_CORRECTED),
+    _opt("--policy", choices=(POLICY_PAPER, POLICY_CORRECTED), default=POLICY_CORRECTED),
     _opt("--index", type=int, help="explicit Fitting index (overrides --policy)"),
     _opt("--no-timing", action="store_true", help="zero per-chart millisecond timings"),
 )
@@ -414,7 +412,7 @@ _COMMANDS = (
     (("verify", "image"), None, _cmd_verify_image, _PARAMS + _POLICY),
     (("verify", "nonnormal"), None, _cmd_verify_nonnormal, (_opt("--p", type=int, required=True),)),
     (("verify", "grid"), None, _cmd_verify_grid, (
-        _opt("--file", help="grid file: one parameter tuple per line"),
+        _opt("--file", required=True, help="grid file: one parameter tuple per line"),
         _opt("--workers", type=int, default=os.cpu_count() or 1),
     ) + _POLICY),
     (("verify", "props"), None, _cmd_verify_props, (_opt("--seed", type=int, default=DEFAULT_SEED),)),
@@ -443,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.fn(args)
-    except (UsageError, ReesParamsError, PolyError, OSError, ValueError) as err:
+    except (PolyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)

@@ -430,8 +430,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: Union[int, Fraction]) -> "Polynomial":
-        c = self.field.normalize(c)
-        return Polynomial(self, {ONE_MONOMIAL: c} if c else {})
+        return self.term(c, ONE_MONOMIAL)
 
     def variable(self, var: Union[str, int]) -> "Polynomial":
         idx = var if isinstance(var, int) else self.index(var)
@@ -541,10 +540,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, c: Union[int, Fraction]) -> "Polynomial":
@@ -649,11 +647,6 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # Printing
 
-def _coeff_parts(c: Coeff) -> tuple[bool, str]:
-    """(is_negative, absolute-value string); prime-field residues are never negative."""
-    return c < 0, str(abs(c))
-
-
 def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     """Terms in descending monomial order; output re-parses to the same polynomial."""
     if f.is_zero:
@@ -662,7 +655,8 @@ def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     key = ring.sort_key(order)
     pieces: list[str] = []
     for m in sorted(f.terms, key=key, reverse=True):
-        neg, mag = _coeff_parts(f.terms[m])
+        c = f.terms[m]  # prime-field residues are never negative
+        neg, mag = c < 0, str(abs(c))
         if m == ONE_MONOMIAL:
             body = mag
         else:
@@ -716,6 +710,13 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         at += 1
         return pos, tok
 
+    def integer() -> int:
+        pos, tok = expect("int", "expected an integer")
+        try:
+            return int(tok)
+        except ValueError as err:  # a token past the interpreter's digit limit
+            raise ParseError(str(err), pos) from None
+
     def parse_monomial() -> Monomial:
         mono = ONE_MONOMIAL
         while True:
@@ -724,7 +725,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
                 idx = ring.index(name)
             except UnknownVariableError:
                 raise ParseError(f"unknown variable {name!r}", pos) from None
-            exp = int(expect("int", "expected an integer")[1]) if take("^") else 1
+            exp = integer() if take("^") else 1
             if exp > EXPONENT_CAP:
                 raise ExponentOverflowError(f"exponent {exp} exceeds cap {EXPONENT_CAP}")
             if exp:
@@ -740,11 +741,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             sign = -sign if tok == "-" else sign
         _, kind, tok = tokens[at]
         if kind == "int":
-            at += 1
-            num = int(tok)
+            num = integer()
             if take("/"):
                 den_pos = tokens[at - 1][0] + 1
-                den = int(expect("int", "expected an integer")[1])
+                den = integer()
                 try:
                     coeff = fld.of(num, den)
                 except FieldDivisionError as err:

@@ -209,28 +209,21 @@ def rees_presentation(params: ReesParams) -> PresentedAlgebra:
 def target_ideal(params: ReesParams) -> Ideal:
     """The comparison ideal (x_s^{v_s}, ..., x_n^{v_n}, T_s, ..., T_l) plus
     the Rees relations, in the Rees ambient ring."""
-    algebra = rees_presentation(params)
-    ring = algebra.ring
-    gens = [ring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)]
-    gens.extend(ring.variable(f"T{i}") for i in range(params.s, params.l + 1))
-    gens.extend(algebra.relations.generators)
-    return Ideal(ring, gens)
+    exceptional = exceptional_ideal(params)
+    tail = [exceptional.ring.variable(f"T{i}") for i in range(params.s, params.l + 1)]
+    return Ideal(exceptional.ring, list(exceptional.generators) + tail)
 
 
 def exceptional_ideal(params: ReesParams) -> Ideal:
     """Ideal of the exceptional divisor: the center's generators plus relations."""
     algebra = rees_presentation(params)
-    ring = algebra.ring
-    gens = [ring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)]
-    gens.extend(algebra.relations.generators)
-    return Ideal(ring, gens)
+    center = [algebra.ring.variable(f"x{i}") ** e for i, e in params.powers()]
+    return Ideal(algebra.ring, center + list(algebra.relations.generators))
 
 
 def chart_presentation(params: ReesParams, r: int) -> ChartAlgebra:
-    """Chart of the blow-up at x_r^{v_r}T for s <= r <= n."""
+    """Chart of the blow-up at x_r^{v_r}T for a generator index r (s <= r <= n)."""
     params.validate()
-    if not params.s <= r <= params.n:
-        raise ReesParamsError(f"chart index r={r} outside s..n = {params.s}..{params.n}")
     return ci_chart_presentation(params.field, params.n, params.powers(), r)
 
 

@@ -100,9 +100,9 @@ def _ms(start: float) -> int:
 
 @dataclass(frozen=True)
 class ChartCheck:
-    """One chart's verdict.  For thm41 and cor42, ms times the chart's first
-    computation in its row, so both report the same value; for image, only
-    image's own pull-back, contraction and containment test."""
+    """One chart's verdict.  For thm41 and cor42 (one shared verdict), ms covers
+    building the chart when that pass builds it, plus the comparison; for
+    image, only image's own pull-back, contraction and containment test."""
 
     r: int
     equal: bool
@@ -187,13 +187,13 @@ def _chart_expected(params: ReesParams, chart: ChartAlgebra) -> Ideal:
 
 class _ChartEntry:
     """One chart of the memoized row: the pruned chart, its Fitting ideal at
-    the chart index, the seconds taken to build both and, once computed,
-    cor42's verdict.  (A plain class: a dataclass adds to import time.)"""
+    the chart index and, once computed, cor42's verdict.  (A plain class: a
+    dataclass adds to import time.)"""
 
-    __slots__ = ("chart", "fitting", "seconds", "check")
+    __slots__ = ("chart", "fitting", "check")
 
-    def __init__(self, chart: ChartAlgebra, fitting: Ideal, seconds: float):
-        self.chart, self.fitting, self.seconds = chart, fitting, seconds
+    def __init__(self, chart: ChartAlgebra, fitting: Ideal):
+        self.chart, self.fitting = chart, fitting
         self.check: Optional[ChartCheck] = None
 
 
@@ -215,10 +215,8 @@ def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[
     for r in range(first, params.n + 1):
         entry = memo.get(r)
         if entry is None:
-            start = time.perf_counter()
             chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
-            fitting = kaehler_fitting(chart.algebra, index)
-            entry = memo[r] = _ChartEntry(chart, fitting, time.perf_counter() - start)
+            entry = memo[r] = _ChartEntry(chart, kaehler_fitting(chart.algebra, index))
         yield r, entry
 
 
@@ -227,12 +225,13 @@ def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -
     (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l), both on
     the chart's pruned presentation."""
     checks = []
+    start = time.perf_counter()  # before the generator builds each chart
     for r, entry in _chart_fittings(params, policy, params.s):
         if entry.check is None:
-            start = time.perf_counter()
             equal = ideal_equal(entry.fitting, _chart_expected(params, entry.chart))
-            entry.check = ChartCheck(r, equal, _ms(start - entry.seconds))
+            entry.check = ChartCheck(r, equal, _ms(start))
         checks.append(entry.check)
+        start = time.perf_counter()
     return checks
 
 
@@ -252,10 +251,7 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     chart relations."""
     params.validate()
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
-    center = Ideal(
-        xring,
-        [xring.variable(f"x{i}") ** params.exponent(i) for i in range(params.s, params.n + 1)],
-    )
+    center = Ideal(xring, [xring.variable(f"x{i}") ** e for i, e in params.powers()])
     details = []
     combined: Optional[Ideal] = None
     for r, entry in _chart_fittings(params, policy, params.l + 1):
@@ -266,8 +262,7 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
         contraction = contract(fitt, xring)
         combined = contraction if combined is None else ideal_intersect(combined, contraction)
         details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))
-    ok = combined is not None and ideal_equal(combined, center)
-    return ok, details
+    return ideal_equal(combined, center), details
 
 
 def check_image_equals_center(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> bool:
@@ -280,7 +275,6 @@ def check_image_equals_center(params: ReesParams, policy: Policy = POLICY_CORREC
 @dataclass(frozen=True)
 class NonnormalProbe:
     p: int
-    chart: ChartAlgebra
     integral_witness: bool
     quotient_membership: bool
     sanity_control: bool
@@ -307,7 +301,7 @@ def nonnormality_probe(p: int, n: int, base: int, top: int) -> NonnormalProbe:
     witness = ideal_member(xt ** (p * p) - u * xb ** p, rel)
     member = ideal_member(xt ** p, Ideal(ring, [xb] + list(rel.generators)))
     sanity = ideal_member(xt ** (p * p), Ideal(ring, [xb ** p] + list(rel.generators)))
-    return NonnormalProbe(p, chart, witness, member, sanity)
+    return NonnormalProbe(p, witness, member, sanity)
 
 
 def check_nonnormal(p: int) -> bool:

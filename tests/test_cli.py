@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -105,6 +106,27 @@ class TestExitCodes:
     def test_missing_grid_file(self):
         code, _ = run_cli(["verify", "grid", "--file", "no/such/file.txt"])
         assert code == 2
+
+    def test_grid_without_file_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "grid", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --file" in capsys.readouterr().err
+
+    def test_chart_index_outside_the_generators_is_exit_two(self, capsys):
+        code, out = run_cli(
+            ["rees", "chart", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1", "--r", "0"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: chart index 0 is not a generator index\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit here"
+    )
+    def test_integer_past_the_digit_limit_is_exit_two(self, capsys):
+        code, out = run_cli(["gb", "--field", "rationals", "--vars", "x", "--gens", "1" * 5000])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.endswith("(at position 0)\n")
 
     def test_directory_as_input_is_usage_error(self, tmp_path):
         code, _ = run_cli(["gb", "--field", "p=2", "--vars", "x", "--input", str(tmp_path)])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,21 @@ class TestParsePrint:
             rxy.parse(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit here"
+    )
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1" * 5000, 0), ("x^" + "9" * 5000, 2), ("1/" + "2" * 5000, 2)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, rxy, text, position):
+        assert len(text) - position > sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as err:
+            rxy.parse(text)
+        assert err.value.position == position
+        assert str(err.value).endswith(f"(at position {position})")
 
     @pytest.mark.parametrize("text", ["x - -y", "x\u00a0+ y"])
     def test_accepted_forms(self, rxy, text):

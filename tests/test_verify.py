@@ -470,12 +470,4 @@ def test_stretch_grid_file_passes():
 
 
 def test_shipped_grid_file_matches_default_grid():
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "grids" / "default.txt"
-    rows = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(ReesParams.parse(line))
-    assert rows == default_grid()
+    assert shipped_grid() == default_grid()
