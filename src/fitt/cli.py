@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,6 +57,7 @@ from .verify import (
     POLICY_CORRECTED,
     POLICY_PAPER,
     VerificationReport,
+    check_corollary42,
     check_theorem41,
     corollary42_details,
     fitting_index,
@@ -79,7 +81,7 @@ class UsageError(ValueError):
 
 def _parse_field(spec: str) -> CoefficientField:
     spec = spec.strip().lower()
-    if spec in ("rationals", "q", "qq", "0"):
+    if spec == "rationals":
         return CoefficientField(0)
     if spec.startswith("p="):
         try:
@@ -87,6 +89,8 @@ def _parse_field(spec: str) -> CoefficientField:
         except ValueError:
             raise UsageError(f"--field: bad prime in {spec!r}") from None
         try:
+            if p == 0:  # CoefficientField(0) is Q, which only 'rationals' names
+                raise ValueError("characteristic 0 is not prime")
             return CoefficientField(p)
         except ValueError as err:
             raise UsageError(f"--field: {err}") from None
@@ -288,8 +292,8 @@ def _chart_report(args, params: ReesParams, policy, details, **checks) -> _Resul
 
 def _cmd_verify_cor42(args) -> _Result:
     params, policy = _params_from_args(args), _policy_from_args(args)
-    details = corollary42_details(params, policy)
-    return _chart_report(args, params, policy, details, corollary_ok=all(c.equal for c in details))
+    details = corollary42_details(params, policy)  # the row memo answers the verdict below
+    return _chart_report(args, params, policy, details, corollary_ok=check_corollary42(params, policy))
 
 
 def _cmd_verify_image(args) -> _Result:
@@ -301,14 +305,7 @@ def _cmd_verify_image(args) -> _Result:
 def _cmd_verify_nonnormal(args) -> _Result:
     probe = nonnormality_probe(args.p, 4, 3, 4)
     verdict = probe.nonnormal
-    payload = {
-        "p": args.p,
-        "integral_witness": probe.integral_witness,
-        "quotient_membership": probe.quotient_membership,
-        "sanity_control": probe.sanity_control,
-        "nonnormal": verdict,
-        "status": "pass" if verdict else "fail",
-    }
+    payload = {**asdict(probe), "nonnormal": verdict, "status": "pass" if verdict else "fail"}
     return payload, f"non-normal: {_bool(verdict)}\n", 0 if verdict else 1
 
 
@@ -343,12 +340,14 @@ def _cmd_verify_grid(args) -> _Result:
 def _cmd_verify_props(args) -> _Result:
     results = run_properties(args.seed)
     status = "pass" if properties_ok(results) else "fail"
-    payload = {
-        "seed": args.seed,
-        "suites": [{"name": r.name, "trials": r.trials, "failures": r.failures} for r in results],
-        "status": status,
-    }
-    lines = [f"{r.name}: trials={r.trials} failures={r.failures}\n" for r in results]
+    suites, lines = [], []
+    for r in results:
+        suites.append({"name": r.name, "trials": r.trials, "failures": r.failures})
+        lines.append(f"{r.name}: trials={r.trials} failures={r.failures}\n")
+        if r.failures:
+            suites[-1]["notes"] = r.notes
+            lines.extend(f"  {note}\n" for note in r.notes)
+    payload = {"seed": args.seed, "suites": suites, "status": status}
     return payload, "".join(lines) + f"status: {status}\n", 0 if status == "pass" else 1
 
 

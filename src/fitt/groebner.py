@@ -250,7 +250,7 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     elements of the reduced block-order basis, so by the Elimination Theorem
     they are the reduced grevlex basis of the result, which is cached."""
     ring = I.ring
-    indices = frozenset(v if isinstance(v, int) else ring.index(v) for v in block)
+    indices = frozenset(ring.index(v) for v in block)
     if not indices:
         return Ideal(ring, I.generators)
     order = MonomialOrder.elimination(indices)

@@ -72,13 +72,12 @@ POLICY_CORRECTED = "corrected"
 
 def fitting_index(params: ReesParams, policy: Policy) -> int:
     """Global Fitting index for the differentials of the Rees ring."""
-    if policy == POLICY_PAPER:
+    label = policy_label(policy)
+    if label == POLICY_PAPER:
         return params.n + params.s + params.l - 1
-    if policy == POLICY_CORRECTED:
+    if label == POLICY_CORRECTED:
         return params.n + params.l - params.s + 1
-    if isinstance(policy, int):
-        return policy
-    raise ValueError(f"unknown policy {policy!r}")
+    return policy
 
 
 def chart_fitting_index(params: ReesParams, policy: Policy) -> int:
@@ -165,9 +164,8 @@ def check_theorem41(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> Ve
     the target ideal after inverting x_r^{v_r}T (the variable T_r), and check
     that the exchange binomials are the full relation kernel.  The comparison
     is the corollary's check on chart r (see the module docstring)."""
-    params.validate()
-    report = VerificationReport(params, policy_label(policy), fitting_index(params, policy))
-    report.charts.extend(corollary42_details(params, policy))
+    charts = corollary42_details(params, policy)  # validates params first
+    report = VerificationReport(params, policy_label(policy), fitting_index(params, policy), charts)
     report.micali_ok = ideal_equal(micali_kernel(params), rees_presentation(params).relations)
     return report
 
@@ -208,8 +206,7 @@ def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[
     """The one route to chart Fitting ideals: for r = first..n, yield r and the
     memo entry holding the pruned chart and its Fitt at chart_fitting_index.
     A chart missing from the row's memo is built and stored when reached, so
-    a caller computes only the charts it iterates over."""
-    params.validate()
+    a caller computes only the charts it reaches.  Callers validate params."""
     index = chart_fitting_index(params, policy)
     memo = _row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
     for r in range(first, params.n + 1):
@@ -224,6 +221,7 @@ def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -
     """Per chart: the Fitting ideal of the chart algebra equals the unit ideal
     (r <= l) or (x_r, U_s..U_l) plus the chart relations (r > l), both on
     the chart's pruned presentation."""
+    params.validate()
     checks = []
     start = time.perf_counter()  # before the generator builds each chart
     for r, entry in _chart_fittings(params, policy, params.s):

@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from fitt import properties
 from golden_cases import CASES, GOLDEN_DIR, golden_path, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
@@ -79,6 +80,16 @@ class TestExitCodes:
     def test_bad_field_is_usage_error(self):
         code, _ = run_cli(["gb", "--field", "p=6", "--vars", "x", "--gens", "x"])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["p=0", "q", "qq", "0"])
+    def test_undocumented_field_spellings_are_usage_errors(self, spec, capsys):
+        code, out = run_cli(["gb", "--field", spec, "--vars", "x", "--gens", "1/2*x - 1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: --field")
+
+    @pytest.mark.parametrize("spec,basis", [("rationals", "x - 1/3\n"), ("p=2", "x + 1\n"), (" P=2 ", "x + 1\n")])
+    def test_documented_field_spellings(self, spec, basis):
+        assert run_cli(["gb", "--field", spec, "--vars", "x", "--gens", "3*x - 1"]) == (0, basis)
 
     def test_invalid_params_are_validation_errors(self):
         code, _ = run_cli(
@@ -284,3 +295,24 @@ def test_props_text_reports_all_suites():
     assert code == 0
     assert out.strip().endswith("status: pass")
     assert "groebner-spolys" in out
+
+
+def test_props_show_the_notes_of_a_failing_suite(monkeypatch):
+    """A failing suite lists its notes under its line, and in JSON under the
+    suite; a passing suite shows none."""
+    passing, (name, checks, _) = properties._SUITES[:2]
+
+    def failing(rng, k):
+        yield False, lambda: f"planted failure {k}"
+
+    monkeypatch.setattr(properties, "_SUITES", (passing, (name, checks, failing)))
+    notes = ["planted failure 0", "planted failure 1", "planted failure 2"]
+    code, out = run_cli(["verify", "props"])
+    assert code == 1
+    assert out.splitlines()[1:] == [f"{name}: trials={checks} failures={checks}"] + [
+        f"  {note}" for note in notes
+    ] + ["status: fail"]
+    code, out = run_cli(["verify", "props", "--format", "json"])
+    suites = json.loads(out)["suites"]
+    assert code == 1 and "notes" not in suites[0] and suites[0]["failures"] == 0
+    assert suites[1] == {"name": name, "trials": checks, "failures": checks, "notes": notes}

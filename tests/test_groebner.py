@@ -27,6 +27,7 @@ from fitt.polyring import (
     MonomialOrder,
     PolyRing,
     RingMismatchError,
+    UnknownVariableError,
     mono_div,
     mono_from_pairs,
     mono_lcm,
@@ -157,6 +158,15 @@ class TestEliminate:
         for g in got.generators:
             assert all(idx != xidx for m in g.terms for idx, _ in m)
         assert not got.is_zero()
+
+    def test_by_position_as_by_name(self, rxy):
+        I = Ideal(rxy, [rxy.parse("y - x^2"), rxy.parse("x*y - 1")])
+        assert eliminate(I, [0]).generators == eliminate(I, ["x"]).generators
+
+    @pytest.mark.parametrize("var", [5, -1, "z"])
+    def test_unknown_variable_raises(self, rxy, var):
+        with pytest.raises(UnknownVariableError):
+            eliminate(Ideal(rxy, [rxy.parse("x - y")]), [var])
 
 
 class TestContract:

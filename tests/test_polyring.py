@@ -14,6 +14,7 @@ from fitt.polyring import (
     ParseError,
     PolyRing,
     RingMismatchError,
+    UnknownVariableError,
     field_inverse,
     mono_from_pairs,
     mono_mul,
@@ -144,6 +145,50 @@ class TestMonomialOrders:
         # any monomial touching the block beats any block-free monomial
         order = MonomialOrder.elimination({1})
         assert order.compare(((1, 1),), ((0, 9),), 2) == 1
+
+
+def _block_then_rest_key(block, nvars):
+    """The block order as first written: block exponents, then grevlex of the
+    monomial with the block variables removed."""
+    grevlex = GREVLEX.key_function(nvars)
+
+    def key(m):
+        exps = dict(m)
+        rest = tuple(pair for pair in m if pair[0] not in block)
+        return tuple(exps.get(v, 0) for v in sorted(block)), grevlex(rest)
+
+    return key
+
+
+def test_block_order_matches_block_then_grevlex_of_the_rest():
+    # small exponents, so that equal block exponents (the ties the grevlex
+    # part decides) are common
+    rng = random.Random(20240915)
+    for _ in range(200):
+        nvars = rng.randint(1, 6)
+        block = frozenset(rng.sample(range(nvars), rng.randint(0, nvars)))
+        order, oracle = MonomialOrder.elimination(block), _block_then_rest_key(block, nvars)
+        for _ in range(50):
+            a, b = (mono_from_pairs((i, rng.randint(0, 2)) for i in range(nvars)) for _ in range(2))
+            expected = (oracle(a) > oracle(b)) - (oracle(a) < oracle(b))
+            assert order.compare(a, b, nvars) == expected, (block, a, b)
+
+
+class TestRingIndex:
+    def test_name_or_position(self, rxy):
+        assert [rxy.index("x"), rxy.index("y"), rxy.index(0), rxy.index(1)] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("var", [2, -1, "z"])
+    def test_unknown_name_or_position_out_of_range_raises(self, rxy, var):
+        with pytest.raises(UnknownVariableError):
+            rxy.index(var)
+
+    def test_variable_and_derivative_take_positions(self, rxy):
+        f = rxy.parse("x^2*y + y")
+        assert rxy.variable(1) == rxy.variable("y")
+        assert f.derivative(0) == f.derivative("x")
+        with pytest.raises(UnknownVariableError):
+            f.derivative(2)
 
 
 class TestLeadingTermMemo:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib.util
 import os
 import subprocess
 import sys
@@ -471,3 +472,15 @@ def test_stretch_grid_file_passes():
 
 def test_shipped_grid_file_matches_default_grid():
     assert shipped_grid() == default_grid()
+
+
+def test_benchmark_reads_the_shipped_grid_as_the_tests_do(monkeypatch):
+    """The benchmark's grid reader drops only whole-line comments, while the
+    CLI and the tests also strip inline ones; the shipped file must read the
+    same both ways."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert [ReesParams.parse(line) for line in workloads.grid_lines()] == shipped_grid()
