@@ -2,8 +2,11 @@
 
 Monomials are canonical tuples of (variable-index, exponent) pairs, sorted by
 index and free of zero exponents, so they hash and compare at C speed.
-Coefficients are Python ints reduced mod p, or Fractions (always in lowest
-terms with positive denominator).  Everything is immutable after construction.
+Coefficients are Python ints reduced mod p.  Over Q, CoefficientField makes an
+integral value a plain int and any other a Fraction in lowest terms; sums and
+products then follow Python's numeric tower, which is exact, and 3 and
+Fraction(3) compare, hash and print alike.  Everything is immutable after
+construction.
 
 add_terms is the one place coefficient sums are made: every sum of term maps,
 here and in the Groebner layer, goes through it, so the field arithmetic and
@@ -78,9 +81,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(q: Fraction) -> Coeff:
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class CoefficientField:
-    """The rationals (characteristic 0) or a prime field F_p."""
+    """The rationals (characteristic 0) or a prime field F_p.
+
+    Over Q every element it makes that is an integer is an int, and any other
+    a Fraction in lowest terms: int arithmetic is exact and much faster."""
 
     characteristic: int = 0
 
@@ -94,12 +104,16 @@ class CoefficientField:
             raise ValueError(f"characteristic {p} is not prime")
 
     def normalize(self, value: Union[int, Fraction]) -> Coeff:
+        """The field element of an int or a Fraction; any other type raises
+        TypeError."""
         p = self.characteristic
-        if p:
-            if isinstance(value, Fraction):
-                return self.of(value.numerator, value.denominator)
-            return value % p
-        return Fraction(value)
+        if type(value) is int:
+            return value % p if p else value
+        if isinstance(value, Fraction):
+            return self.of(value.numerator, value.denominator) if p else _rational(value)
+        if isinstance(value, int):  # a bool, or another subclass of int
+            return self.normalize(int(value))
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
 
     def of(self, numerator: int, denominator: int = 1) -> Coeff:
         """Build a field element from an integer fraction."""
@@ -113,7 +127,7 @@ class CoefficientField:
             return numerator * pow(den, -1, p) % p
         if denominator == 0:
             raise FieldDivisionError("zero denominator")
-        return Fraction(numerator, denominator)
+        return _rational(Fraction(numerator, denominator))
 
     def inverse(self, a: Coeff) -> Coeff:
         p = self.characteristic
@@ -124,7 +138,7 @@ class CoefficientField:
             return pow(a, -1, p)
         if a == 0:
             raise FieldDivisionError("0 has no inverse in Q")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"F_{self.characteristic}"

@@ -361,21 +361,18 @@ def _annihilator_diagonal(rng: random.Random, k: int) -> Checks:
     ann = Ideal(ring, [diag[0]])
     for a in diag[1:]:
         ann = ideal_intersect(ann, Ideal(ring, [a]))
+    fitt = [fitting_ideal(M, i) for i in range(m + 1)]
     ok = True
     for i in range(0, m):
-        prod = Ideal(
-            ring,
-            [b * f for b in ann.generators for f in fitting_ideal(M, i + 1).generators],
-        )
-        ok = ok and ideal_contains(fitting_ideal(M, i), prod)
-    fitt0 = fitting_ideal(M, 0)
-    ok = ok and ideal_contains(ann, fitt0)
+        prod = Ideal(ring, [b * f for b in ann.generators for f in fitt[i + 1].generators])
+        ok = ok and ideal_contains(fitt[i], prod)
+    ok = ok and ideal_contains(ann, fitt[0])
     ann_power = Ideal(ring, [ring.one()])
     for _ in range(m):
         ann_power = Ideal(
             ring, [a * b for a in ann_power.generators for b in ann.generators]
         )
-    ok = ok and ideal_contains(fitt0, ann_power)
+    ok = ok and ideal_contains(fitt[0], ann_power)
     yield ok, lambda: f"annihilator law broke for diag {[str(d) for d in diag]}"
 
 

@@ -1,9 +1,11 @@
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from fitt.groebner import Ideal
 from fitt.polyring import (
     GREVLEX,
     LEX,
@@ -61,6 +63,43 @@ class TestCoefficientField:
         c = QQ.normalize(Fraction(6, -4))
         assert c == Fraction(-3, 2) and c.denominator == 2
 
+    @pytest.mark.parametrize(
+        "method, args, value",
+        [("normalize", (3,), 3), ("normalize", (Fraction(6, 3),), 2), ("of", (6, 3), 2), ("inverse", (-1,), -1)],
+        ids=["normalize(3)", "normalize(6/3)", "of(6,3)", "inverse(-1)"],
+    )
+    def test_integral_rationals_are_ints(self, method, args, value):
+        c = getattr(QQ, method)(*args)
+        assert type(c) is int and c == value
+
+    @pytest.mark.parametrize(
+        "method, args, value",
+        [("of", (1, 2), Fraction(1, 2)), ("inverse", (2,), Fraction(1, 2))],
+        ids=["of(1,2)", "inverse(2)"],
+    )
+    def test_other_rationals_are_fractions(self, method, args, value):
+        c = getattr(QQ, method)(*args)
+        assert type(c) is Fraction and c == value
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_normalize_makes_a_bool_an_int(self, field):
+        c = field.normalize(True)
+        assert type(c) is int and c == 1
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("value", [2.5, 0.1, "3", Decimal("1")], ids=repr)
+    def test_normalize_rejects_non_rationals(self, field, value):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            field.normalize(value)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_a_float_coefficient_is_a_type_error(self, field):
+        ring = PolyRing(field, ("x", "y"))
+        with pytest.raises(TypeError, match="not float"):
+            ring.constant(2.5)
+        with pytest.raises(TypeError, match="not float"):
+            ring.variable("x").scale(0.1)
+
 
 class TestArithmetic:
     def test_difference_of_squares(self, rxy):
@@ -86,6 +125,15 @@ class TestArithmetic:
         x = rxy.variable("x")
         assert (x + rxy.one()) ** 0 == rxy.one()
         assert x.scale(Fraction(1, 2)) == rxy.parse("1/2*x")
+
+    def test_int_and_integral_fraction_coefficients_agree(self, rxy):
+        three = rxy.parse("3*x")
+        halved = rxy.parse("3/2*x").scale(2)  # 2 * Fraction(3, 2) is Fraction(3, 1)
+        x = ((0, 1),)
+        assert type(three.terms[x]) is int and type(halved.terms[x]) is Fraction
+        assert halved == three and hash(halved) == hash(three)
+        assert str(halved) == str(three) == "3*x"
+        assert Ideal(rxy, [three, halved]).generators == (three,)
 
     def test_exponent_overflow_is_an_error(self):
         big = mono_from_pairs([(0, 2**31 - 1)])
@@ -381,5 +429,58 @@ def test_arithmetic_matches_sympy(characteristic):
                 for e, v in theirs.as_dict().items()
             }
             assert ours.terms == expected, (trial, name, df, dg)
+        cancelled += len((f + g).terms) < len(set(df) | set(dg))
+    assert cancelled >= 3  # some sums drop a monomial, so the zero rule is exercised
+
+
+def _random_integral(rng, nvars):
+    """Up to five terms of total degree at most 4, as {exponent tuple:
+    coefficient}, with nonzero integer coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = rng.choice((-7, -3, -2, -1, 1, 2, 3, 5))
+    return terms
+
+
+def test_integral_arithmetic_matches_sympy():
+    # integer operands over Q: sums, products, powers and derivatives stay on
+    # int coefficients, and scaling by a Fraction mixes int with Fraction
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    cancelled = 0
+    for trial in range(40):
+        nvars = rng.randint(1, 3)
+        names = ("x", "y", "z")[:nvars]
+        ring = PolyRing(QQ, names)
+        symbols = sympy.symbols(names)
+        df, dg = _random_integral(rng, nvars), _random_integral(rng, nvars)
+        dg.update((e, -v) for e, v in df.items() if rng.random() < 0.3)  # terms that cancel in f+g
+        f, g = (ring.from_terms((mono_from_pairs(enumerate(e)), c) for e, c in d.items()) for d in (df, dg))
+        F, G = (sympy.Poly.from_dict(d, *symbols, domain="QQ") for d in (df, dg))
+        n = rng.choice((-3, -1, 2, 4))
+        q = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(2, 4))
+        e = rng.randint(0, 3)
+        var = rng.randrange(nvars)
+        integral = [
+            ("f+g", f + g, F + G),
+            ("f-g", f - g, F - G),
+            ("f*g", f * g, F * G),
+            ("-f", -f, -F),
+            ("n*f", f.scale(n), F * n),
+            ("f^e", f**e, F**e),
+            ("df", f.derivative(var), F.diff(symbols[var])),
+        ]
+        pairs = integral + [("q*f", f.scale(q), F * sympy.sympify(q))]
+        for name, ours, theirs in pairs:
+            expected = {
+                mono_from_pairs(enumerate(e)): QQ.normalize(Fraction(str(v)))
+                for e, v in theirs.as_dict().items()
+            }
+            assert ours.terms == expected, (trial, name, df, dg)
+        for name, ours, _ in integral:
+            assert all(type(c) is int for c in ours.terms.values()), (trial, name, df, dg)
         cancelled += len((f + g).terms) < len(set(df) | set(dg))
     assert cancelled >= 3  # some sums drop a monomial, so the zero rule is exercised

@@ -1,6 +1,9 @@
 """The seeded randomized suites: zero failures at the repo seed, with the
 trial-count floors the acceptance criteria require."""
 
+import random
+
+from fitt import properties
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
 
@@ -70,3 +73,19 @@ def test_runs_are_reproducible():
 def test_other_seeds_also_pass():
     for seed in (1, 42):
         assert properties_ok(run_properties(seed))
+
+
+def test_annihilator_suite_builds_each_fitting_ideal_once(monkeypatch):
+    real = properties.fitting_ideal
+    calls = []
+
+    def recording(module, i):
+        calls.append((id(module), i))
+        return real(module, i)
+
+    monkeypatch.setattr(properties, "fitting_ideal", recording)
+    for k in range(5):
+        calls.clear()
+        for ok, describe in properties._annihilator_diagonal(random.Random(k), k):
+            assert ok, describe()
+        assert calls and len(calls) == len(set(calls)), calls
