@@ -4,6 +4,11 @@ A module is a presentation matrix over a PresentedAlgebra (ambient polynomial
 ring modulo a relation ideal J); rows index module generators, columns index
 relations.  Fitting ideals are materialized as ambient ideals containing J, so
 all comparisons happen in one polynomial ring.
+
+minors expands along the first row (Eisenbud, Commutative Algebra, ch. 20),
+memoizing each sub-minor by its rows and columns.  Each k x k minor with
+k >= 2 is summed into one term map with add_terms, entry term by entry term,
+and wrapped as a Polynomial once; a 1 x 1 minor is the matrix entry itself.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .groebner import Ideal
-from .polyring import PolyRing, Polynomial, RingMismatchError
+from .polyring import Coeff, Monomial, PolyRing, Polynomial, RingMismatchError, add_terms
 
 Matrix = tuple[tuple[Polynomial, ...], ...]
 
@@ -32,6 +37,17 @@ class PresentedAlgebra:
             )
 
 
+def _check_matrix(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> None:
+    """A ragged matrix raises ValueError, an entry from another ring
+    RingMismatchError."""
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError("ragged matrix")
+    for row in matrix:
+        for entry in row:
+            if entry.ring != ring:
+                raise RingMismatchError(f"matrix entry in {entry.ring}, expected {ring}")
+
+
 @dataclass(frozen=True)
 class PresentedModule:
     """Module presented by a matrix over the algebra's ambient ring."""
@@ -41,14 +57,7 @@ class PresentedModule:
     row_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        ring = self.algebra.ring
-        width = {len(row) for row in self.matrix}
-        if len(width) > 1:
-            raise ValueError("ragged presentation matrix")
-        for row in self.matrix:
-            for entry in row:
-                if entry.ring != ring:
-                    raise RingMismatchError(f"matrix entry in {entry.ring}, module over {ring}")
+        _check_matrix(self.matrix, self.algebra.ring)
         if len(self.row_labels) != len(self.matrix):
             raise ValueError("one label per matrix row required")
 
@@ -70,7 +79,8 @@ def free_module(algebra: PresentedAlgebra, rank: int, labels: Optional[Sequence[
 
 def minors(matrix: Sequence[Sequence[Polynomial]], k: int, ring: Optional[PolyRing] = None) -> list[Polynomial]:
     """All k x k minors, rows then columns in lexicographic index order.
-    k = 0 yields [1]; k exceeding either dimension yields []."""
+    k = 0 yields [1]; k exceeding either dimension yields [].  A ragged
+    matrix raises ValueError, an entry from another ring RingMismatchError."""
     if k < 0:
         raise ValueError("minor size must be nonnegative")
     nrows = len(matrix)
@@ -79,31 +89,33 @@ def minors(matrix: Sequence[Sequence[Polynomial]], k: int, ring: Optional[PolyRi
         if not nrows or not ncols:
             raise ValueError("ring required for minors of an empty matrix")
         ring = matrix[0][0].ring
+    _check_matrix(matrix, ring)
     if k == 0:
         return [ring.one()]
     if k > nrows or k > ncols:
         return []
 
+    field = ring.field
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return ring.one()
+        r0 = rows[0]
+        if len(rows) == 1:
+            return matrix[r0][cols[0]]
         cached = memo.get((rows, cols))
         if cached is not None:
             return cached
-        r0 = rows[0]
         rest = rows[1:]
-        total = ring.zero()
+        total: dict[Monomial, Coeff] = {}
         for j, c in enumerate(cols):
-            entry = matrix[r0][c]
-            if entry.is_zero:
+            entry = matrix[r0][c].terms
+            if not entry:
                 continue
-            sub = det(rest, cols[:j] + cols[j + 1:])
-            piece = entry * sub
-            total = total + piece if j % 2 == 0 else total - piece
-        memo[(rows, cols)] = total
-        return total
+            sub = det(rest, cols[:j] + cols[j + 1:]).terms
+            for m, a in entry.items():
+                add_terms(total, a if j % 2 == 0 else -a, m, sub, field)
+        result = memo[(rows, cols)] = Polynomial(ring, total)
+        return result
 
     out = []
     for rows in combinations(range(nrows), k):

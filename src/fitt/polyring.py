@@ -85,6 +85,12 @@ def _rational(q: Fraction) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
+def _as_int(value: int) -> int:
+    if isinstance(value, int):  # an int, a bool, or another subclass of int
+        return int(value)
+    raise TypeError(f"a numerator or denominator must be an int, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """The rationals (characteristic 0) or a prime field F_p.
@@ -116,7 +122,10 @@ class CoefficientField:
         raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
 
     def of(self, numerator: int, denominator: int = 1) -> Coeff:
-        """Build a field element from an integer fraction."""
+        """Build a field element from an integer fraction.  A bool counts as
+        an int; any other type raises TypeError."""
+        if type(numerator) is not int or type(denominator) is not int:
+            numerator, denominator = _as_int(numerator), _as_int(denominator)
         p = self.characteristic
         if p:
             den = denominator % p

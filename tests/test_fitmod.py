@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from fitt.fitmod import (
@@ -10,7 +14,7 @@ from fitt.fitmod import (
     minors,
 )
 from fitt.groebner import Ideal, ideal_contains, ideal_equal
-from fitt.polyring import CoefficientField, PolyRing
+from fitt.polyring import CoefficientField, PolyRing, RingMismatchError, mono_from_pairs
 
 QQ = CoefficientField(0)
 
@@ -65,6 +69,85 @@ class TestMinors:
             " + m02*m10*m21 - m02*m11*m20"
         )
         assert minors(matrix, 3) == [expected]
+
+    @pytest.mark.parametrize("widths", [(1, 2), (2, 1)])
+    def test_ragged_matrix_is_refused(self, rab, widths):
+        # a longer later row was silently cut to the first row's width, a
+        # shorter one raised IndexError
+        matrix = tuple(tuple(rab.variable("a") for _ in range(w)) for w in widths)
+        with pytest.raises(ValueError, match="ragged"):
+            minors(matrix, 1, rab)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_entry_from_another_ring_is_refused(self, rab, k):
+        other = PolyRing(CoefficientField(2), ("a", "b"))
+        matrix = ((rab.variable("a"), rab.one()), (rab.zero(), other.variable("b")))
+        with pytest.raises(RingMismatchError):
+            minors(matrix, k, rab)
+        with pytest.raises(RingMismatchError):
+            minors(matrix, k)
+
+
+def _random_entry(rng, characteristic):
+    """A sparse polynomial in x, y as {exponent tuple: coefficient}: zero
+    with probability 0.4, else one or two terms of degree at most 2, with
+    halves and thirds among the coefficients over Q."""
+    if rng.random() < 0.4:
+        return {}
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exps = (rng.randint(0, 2), rng.randint(0, 2))
+        if characteristic:
+            terms[exps] = rng.randint(1, characteristic - 1)
+        else:
+            terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return terms
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3, 5])
+def test_minors_match_sympy(characteristic):
+    # every k x k minor, k = 0..min(rows, cols) + 1, in minors' order, against
+    # sympy's determinant of the same submatrix; over F_p the integer
+    # determinant is reduced mod p, which is the determinant over F_p
+    sympy = pytest.importorskip("sympy")
+    field = CoefficientField(characteristic)
+    ring = PolyRing(field, ("x", "y"))
+    symbols = sympy.symbols("x y")
+    domain = {"modulus": characteristic} if characteristic else {"domain": "QQ"}
+    rng = random.Random(20261019 + characteristic)
+    nontrivial = 0
+    for trial in range(8):
+        nrows, ncols = (4, 4) if trial == 0 else (rng.randint(1, 4), rng.randint(1, 4))
+        dense = [[_random_entry(rng, characteristic) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            dense[rng.randrange(nrows)] = [{} for _ in range(ncols)]
+        matrix = tuple(
+            tuple(ring.from_terms((mono_from_pairs(enumerate(e)), c) for e, c in d.items()) for d in row)
+            for row in dense
+        )
+        theirs = sympy.Matrix([[sympy.Poly.from_dict(d, *symbols, domain="QQ").as_expr() if d else 0
+                                for d in row] for row in dense])
+        for k in range(min(nrows, ncols) + 2):
+            expected = []
+            for rows in combinations(range(nrows), k):
+                for cols in combinations(range(ncols), k):
+                    det = theirs.extract(list(rows), list(cols)).det(method="berkowitz")
+                    terms = sympy.Poly(det, *symbols, **domain).as_dict()
+                    expected.append({e: field.normalize(Fraction(str(c))) for e, c in terms.items() if c})
+            got = [_dense(f) for f in minors(matrix, k, ring)]
+            assert got == expected, (trial, k, dense)
+            nontrivial += k >= 2 and any(got)
+    assert nontrivial >= 4  # the seeded matrices do have nonzero larger minors
+
+
+def _dense(poly):
+    out = {}
+    for m, c in poly.terms.items():
+        exps = [0, 0]
+        for idx, e in m:
+            exps[idx] = e
+        out[tuple(exps)] = c
+    return out
 
 
 class TestFittingIdeal:

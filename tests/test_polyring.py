@@ -93,6 +93,18 @@ class TestCoefficientField:
             field.normalize(value)
 
     @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    @pytest.mark.parametrize("args", [(2.5,), (3, 2.0), ("3",)], ids=repr)
+    def test_of_rejects_non_integers(self, field, args):
+        bad = next(a for a in args if type(a) is not int)
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            field.of(*args)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_of_makes_a_bool_an_int(self, field):
+        c = field.of(True, True)
+        assert type(c) is int and c == 1
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
     def test_a_float_coefficient_is_a_type_error(self, field):
         ring = PolyRing(field, ("x", "y"))
         with pytest.raises(TypeError, match="not float"):

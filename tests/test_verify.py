@@ -18,7 +18,7 @@ from fitt.groebner import (
 )
 from fitt.kaehler import kaehler_fitting
 from fitt.polyring import PolyRing
-from fitt.rees import ReesParams, chart_presentation, rees_presentation, target_ideal
+from fitt.rees import ReesParams, chart_presentation, ci_pruned_chart_presentation, rees_presentation, target_ideal
 from fitt.verify import (
     ChartCheck,
     VerificationReport,
@@ -212,6 +212,53 @@ class TestPrunedChartsAgainstUnpruned:
     def test_stretch_grid(self, params):
         for policy in ("corrected", "paper"):
             assert_matches_unpruned(params, policy)
+
+
+def closed_form_chart_fitting(params: ReesParams, chart, index: int) -> Ideal:
+    """Fitt_index of the differentials of pruned chart r, read off its sparse
+    Jacobian.  Write N for the chart's variable count, J for its relations and
+    k = N - index.  For r <= l, p divides e_i and e_r, so each relation
+    x_i^{e_i} - U_i*x_r^{e_r} (s <= i <= l, i != r) has the single partial
+    -x_r^{e_r}, in row dU_i: m = l - s columns, N = n + l - s, and the
+    k-minors generate (x_r^{k*e_r}).  For r > l, e_r = 1 and the column of
+    each i in s..l holds -x_r in row dU_i and -U_i in row dx_r:
+    m = l - s + 1 columns, N = n + l - s + 1, and the k-minors generate
+    x_r^{k-1}*(x_r, U_s..U_l).  Fitt is the unit ideal for k <= 0, J plus the
+    k-minors for 1 <= k <= m, and J for k > m."""
+    ring = chart.algebra.ring
+    relations = list(chart.algebra.relations.generators)
+    r, s, l = chart.r, params.s, params.l
+    N, m = (params.n + l - s, l - s) if r <= l else (params.n + l - s + 1, l - s + 1)
+    assert ring.nvars == N
+    k = N - index
+    if k <= 0:
+        return Ideal(ring, (ring.one(),))
+    if k > m:
+        return Ideal(ring, relations)
+    xr = ring.variable(f"x{r}")
+    if r <= l:
+        minor_gens = [xr ** (k * params.exponent(r))]
+    else:
+        minor_gens = [xr ** k] + [xr ** (k - 1) * ring.variable(f"U{i}") for i in range(s, l + 1)]
+    return Ideal(ring, minor_gens + relations)
+
+
+class TestChartFittingClosedForm:
+    """The closed form of every pruned chart's Fitting ideals against
+    kaehler_fitting, at indices N - 3 to N + 1, on each chart of the shipped
+    grid and of the l = n - 1 stretch rows (the benchmark's charts rows).  At
+    the corrected chart index n + l - s, k is 0 on charts r <= l and 1 on
+    charts r > l: the unit ideal and cor42's (x_r, U_s..U_l) + J."""
+
+    @pytest.mark.parametrize("params", shipped_grid() + STRETCH_GRID, ids=lambda params: params.flag_string())
+    def test_every_chart_near_its_variable_count(self, params):
+        assert chart_fitting_index(params, "corrected") == params.n + params.l - params.s
+        for r in range(params.s, params.n + 1):
+            chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+            N = chart.algebra.ring.nvars
+            for index in range(N - 3, N + 2):
+                expected = closed_form_chart_fitting(params, chart, index)
+                assert ideal_equal(kaehler_fitting(chart.algebra, index), expected), (r, index)
 
 
 class TestImageEqualsCenter:
