@@ -72,6 +72,9 @@ class Ideal:
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable (the GB and saturation caches fill write-once)")
 
+    def __reduce__(self):
+        return Ideal, (self.ring, self.generators)
+
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         gb = self._gb.get(order)
         if gb is None:

@@ -8,6 +8,12 @@ products then follow Python's numeric tower, which is exact, and 3 and
 Fraction(3) compare, hash and print alike.  Everything is immutable after
 construction.
 
+Rings are hash-consed in the module table _RINGS: building a ring equal to
+one built before returns that same object, so ring equality is identity and
+costs no Python call.  The table is filled by dict.setdefault, so concurrent
+builders of one ring share one object, and it never evicts an entry; it grows
+with the number of distinct rings a process builds.
+
 add_terms is the one place coefficient sums are made: every sum of term maps,
 here and in the Groebner layer, goes through it, so the field arithmetic and
 the rule that a map holds no zero coefficient live in that function alone.
@@ -139,12 +145,18 @@ class CoefficientField:
         return _rational(Fraction(numerator, denominator))
 
     def inverse(self, a: Coeff) -> Coeff:
+        """The inverse of a nonzero element; 1, the monic divisors' leading
+        coefficient, is its own inverse and costs one comparison."""
         p = self.characteristic
         if p:
             a = a % p
+            if a == 1:
+                return 1
             if a == 0:
                 raise FieldDivisionError(f"0 has no inverse in F_{p}")
             return pow(a, -1, p)
+        if a == 1:
+            return 1
         if a == 0:
             raise FieldDivisionError("0 has no inverse in Q")
         return _rational(1 / Fraction(a))
@@ -387,13 +399,27 @@ def add_terms(
 _TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<char>\S)")
 
 
+# Every ring ever built, keyed by (characteristic, variable names).
+_RINGS: dict[tuple[int, tuple[str, ...]], "PolyRing"] = {}
+
+
 class PolyRing:
-    """A polynomial ring: a coefficient field plus an ordered variable list."""
+    """A polynomial ring: a coefficient field plus an ordered variable list.
+
+    PolyRing(field, variables) returns the one ring of _RINGS for that
+    characteristic and those names (see the module docstring), with the sort
+    keys it has built so far.  Names are validated only when a ring is first
+    made, and a refused construction stores nothing.  No entry is evicted,
+    since dropping a live ring would break identity equality."""
 
     __slots__ = ("field", "variables", "_index", "_keycache", "_hash")
 
-    def __init__(self, field: CoefficientField, variables: Iterable[str]):
+    def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
         names = tuple(variables)
+        key = (field.characteristic, names)
+        ring = _RINGS.get(key)
+        if ring is not None:
+            return ring
         if not names:
             raise ValueError("a ring needs at least one variable")
         seen = set()
@@ -404,14 +430,19 @@ class PolyRing:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_keycache", {})
-        object.__setattr__(self, "_hash", hash((field, names)))
+        ring = object.__new__(cls)
+        object.__setattr__(ring, "field", field)
+        object.__setattr__(ring, "variables", names)
+        object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(ring, "_keycache", {})
+        object.__setattr__(ring, "_hash", hash((field, names)))
+        return _RINGS.setdefault(key, ring)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyRing is immutable")
+
+    def __reduce__(self):
+        return PolyRing, (self.field, self.variables)
 
     @property
     def nvars(self) -> int:
@@ -419,8 +450,8 @@ class PolyRing:
 
     def index(self, var: Union[str, int]) -> int:
         """The position of a variable given by name or by position; an unknown
-        name or a position out of range raises UnknownVariableError."""
-        if isinstance(var, int):
+        name, a position out of range or a bool raises UnknownVariableError."""
+        if isinstance(var, int) and not isinstance(var, bool):
             if 0 <= var < self.nvars:
                 return var
             raise UnknownVariableError(f"variable index {var} out of range in {self}")
@@ -428,13 +459,6 @@ class PolyRing:
             return self._index[var]
         except KeyError:
             raise UnknownVariableError(f"unknown variable {var!r} in {self}") from None
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, PolyRing)
-            and self.field == other.field
-            and self.variables == other.variables
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -499,13 +523,16 @@ class Polynomial:
     __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Coeff]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
+        _set_ring(self, ring)
+        _set_terms(self, terms)
+        _set_hash(self, None)
+        _set_lead(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.ring, dict(self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -515,13 +542,13 @@ class Polynomial:
         return len(self.terms) == 1 and ONE_MONOMIAL in self.terms
 
     def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError(f"operands in {self.ring} and {other.ring}")
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.terms == other.terms
         )
 
@@ -529,7 +556,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -585,7 +612,7 @@ class Polynomial:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
             m = max(self.terms, key=self.ring.sort_key(order))
-            object.__setattr__(self, "_lead", (order, m))
+            _set_lead(self, (order, m))
         return m, self.terms[m]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
@@ -614,7 +641,7 @@ class Polynomial:
 
     def transport(self, target: PolyRing) -> "Polynomial":
         """Reinterpret in another ring, matching variables by name."""
-        if target == self.ring:
+        if target is self.ring:
             return self
         if target.field != self.ring.field:
             raise RingMismatchError(f"cannot transport between {self.ring.field} and {target.field}")
@@ -638,7 +665,7 @@ class Polynomial:
         if target.field != self.ring.field:
             raise RingMismatchError(f"cannot substitute between {self.ring.field} and {target.field}")
         for name, img in mapping.items():
-            if img.ring != target:
+            if img.ring is not target:
                 raise RingMismatchError(f"image of {name!r} lives in {img.ring}, not {target}")
         names = self.ring.variables
         images: dict[int, Polynomial] = {}
@@ -665,6 +692,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{print_polynomial(self)} in {self.ring}>"
+
+
+# The slots' own setters, which store past the __setattr__ that refuses
+# writes from outside; cheaper than object.__setattr__ on every polynomial.
+_set_ring = Polynomial.ring.__set__
+_set_terms = Polynomial.terms.__set__
+_set_hash = Polynomial._hash.__set__
+_set_lead = Polynomial._lead.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -5,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fitt.groebner import Ideal
+from fitt.groebner import Ideal, eliminate, reduce
 from fitt.polyring import (
     GREVLEX,
     LEX,
@@ -26,6 +28,7 @@ from fitt.polyring import (
 
 QQ = CoefficientField(0)
 F2 = CoefficientField(2)
+F3 = CoefficientField(3)
 F5 = CoefficientField(5)
 
 
@@ -111,6 +114,21 @@ class TestCoefficientField:
             ring.constant(2.5)
         with pytest.raises(TypeError, match="not float"):
             ring.variable("x").scale(0.1)
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=str)
+    def test_unit_inverse_is_the_int_one(self, field):
+        one = field.inverse(1)
+        assert type(one) is int and one == 1
+        with pytest.raises(FieldDivisionError):
+            field.inverse(0)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=str)
+    def test_every_nonzero_residue_times_its_inverse_is_one(self, field):
+        p = field.characteristic
+        for a in range(1, p):
+            assert a * field.inverse(a) % p == 1
+        with pytest.raises(FieldDivisionError):
+            field.inverse(p)
 
 
 class TestArithmetic:
@@ -249,6 +267,73 @@ class TestRingIndex:
         assert f.derivative(0) == f.derivative("x")
         with pytest.raises(UnknownVariableError):
             f.derivative(2)
+
+    @pytest.mark.parametrize("var", [False, True])
+    def test_a_bool_is_not_a_position(self, rxy, var):
+        with pytest.raises(UnknownVariableError, match=f"unknown variable {var}"):
+            rxy.index(var)
+        with pytest.raises(UnknownVariableError, match=f"unknown variable {var}"):
+            rxy.variable(var)
+        with pytest.raises(UnknownVariableError, match=f"unknown variable {var}"):
+            eliminate(Ideal(rxy, [rxy.parse("x - y")]), [var])
+
+
+class TestHashConsing:
+    def test_equal_rings_are_one_object(self):
+        R = PolyRing(CoefficientField(0), ["x", "y"])
+        assert R is PolyRing(CoefficientField(0), ("x", "y"))
+        assert R.extended(["w"]) is R.extended(["w"])
+        assert R.extended(["w"]) is PolyRing(QQ, "xyw")
+
+    @pytest.mark.parametrize(
+        "field, names",
+        [(F5, ("x", "y")), (QQ, ("y", "x")), (QQ, ("x",)), (QQ, ("x", "y", "z"))],
+        ids=["other field", "other order", "fewer names", "more names"],
+    )
+    def test_other_fields_or_names_give_other_rings(self, rxy, field, names):
+        other = PolyRing(field, names)
+        assert other is not rxy and other != rxy
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [(("q", "1q"), "invalid variable name"), (("q", "q"), "duplicate variable name"), ((), "at least one")],
+        ids=["invalid", "duplicate", "empty"],
+    )
+    def test_a_refused_ring_is_refused_every_time(self, names, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                PolyRing(QQ, names)
+        assert PolyRing(QQ, ("q", "q1")).variables == ("q", "q1")
+
+    def test_rings_and_polynomials_stay_immutable(self, rxy):
+        with pytest.raises(AttributeError):
+            rxy.x = 1
+        with pytest.raises(AttributeError):
+            rxy.parse("x").terms = {}
+
+    def test_a_separately_built_ring_is_accepted(self, rxy):
+        f = PolyRing(QQ, ["x", "y"]).parse("x^2 - y")
+        I = Ideal(rxy, [f, rxy.parse("y")])
+        assert I.generators[0] == f
+        assert reduce(f, I.generators).is_zero
+
+    def test_hash_is_the_hash_of_field_and_names(self, rxy):
+        assert hash(rxy) == hash((rxy.field, rxy.variables))
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_ring_polynomial_and_ideal_round_trip(self, rxy, roundtrip):
+        f = rxy.parse("x^2 - 3/2*y")
+        I = Ideal(rxy, [f, rxy.parse("x*y + 1")])
+        I.groebner_basis()
+        assert roundtrip(rxy) is rxy
+        g = roundtrip(f)
+        assert g == f and g.ring is rxy
+        J = roundtrip(I)
+        assert J.ring is rxy and J.generators == I.generators
+        assert J.groebner_basis() == I.groebner_basis()
 
 
 class TestLeadingTermMemo:
