@@ -14,6 +14,10 @@ costs no Python call.  The table is filled by dict.setdefault, so concurrent
 builders of one ring share one object, and it never evicts an entry; it grows
 with the number of distinct rings a process builds.
 
+MonomialOrder.key_function builds each sort key once per (order, nvars), in a
+functools.cache table shared by every ring and by compare; concurrent fills
+are safe, since equal keys are equal functions, and no entry is evicted.
+
 add_terms is the one place coefficient sums are made: every sum of term maps,
 here and in the Groebner layer, goes through it, so the field arithmetic and
 the rule that a map holds no zero coefficient live in that function alone.
@@ -21,6 +25,7 @@ the rule that a map holds no zero coefficient live in that function alone.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -314,9 +319,9 @@ class MonomialOrder:
     def elimination(block: Iterable[int]) -> "MonomialOrder":
         return MonomialOrder("block", frozenset(block))
 
+    @functools.cache
     def key_function(self, nvars: int):
-        """Sort key builder; bigger key = bigger monomial."""
-        rng = range(nvars)
+        """Sort key builder, run once per (order, nvars); bigger key = bigger monomial."""
         if self.kind == "lex":
             def key(m: Monomial) -> tuple:
                 dense = [0] * nvars
@@ -407,12 +412,12 @@ class PolyRing:
     """A polynomial ring: a coefficient field plus an ordered variable list.
 
     PolyRing(field, variables) returns the one ring of _RINGS for that
-    characteristic and those names (see the module docstring), with the sort
-    keys it has built so far.  Names are validated only when a ring is first
-    made, and a refused construction stores nothing.  No entry is evicted,
-    since dropping a live ring would break identity equality."""
+    characteristic and those names (see the module docstring).  Names are
+    validated only when a ring is first made, and a refused construction
+    stores nothing.  No entry is evicted, since dropping a live ring would
+    break identity equality."""
 
-    __slots__ = ("field", "variables", "_index", "_keycache", "_hash")
+    __slots__ = ("field", "variables", "_index", "_hash")
 
     def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
         names = tuple(variables)
@@ -434,7 +439,6 @@ class PolyRing:
         object.__setattr__(ring, "field", field)
         object.__setattr__(ring, "variables", names)
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(ring, "_keycache", {})
         object.__setattr__(ring, "_hash", hash((field, names)))
         return _RINGS.setdefault(key, ring)
 
@@ -467,11 +471,7 @@ class PolyRing:
         return f"{self.field}[{','.join(self.variables)}]"
 
     def sort_key(self, order: MonomialOrder):
-        fn = self._keycache.get(order)
-        if fn is None:
-            fn = order.key_function(self.nvars)
-            self._keycache[order] = fn
-        return fn
+        return order.key_function(self.nvars)
 
     # construction helpers
 
@@ -542,8 +542,14 @@ class Polynomial:
         return len(self.terms) == 1 and ONE_MONOMIAL in self.terms
 
     def _check(self, other: "Polynomial") -> None:
-        if self.ring is not other.ring:
-            raise RingMismatchError(f"operands in {self.ring} and {other.ring}")
+        try:
+            if self.ring is other.ring:
+                return
+        except AttributeError:
+            raise TypeError(
+                f"a polynomial cannot be combined with {type(other).__name__}; use ring.constant(...)"
+            ) from None
+        raise RingMismatchError(f"operands in {self.ring} and {other.ring}")
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 import sys
@@ -151,6 +152,12 @@ class TestArithmetic:
         with pytest.raises(RingMismatchError):
             rxy.variable("x") + other.variable("x")
 
+    @pytest.mark.parametrize("operand", [2, Fraction(1, 2), "1"], ids=["int", "Fraction", "str"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+    def test_a_non_polynomial_operand_is_a_type_error(self, rxy, op, operand):
+        with pytest.raises(TypeError, match=rf"{type(operand).__name__}; use ring\.constant"):
+            op(rxy.variable("x"), operand)
+
     def test_power_and_scale(self, rxy):
         x = rxy.variable("x")
         assert (x + rxy.one()) ** 0 == rxy.one()
@@ -250,6 +257,43 @@ def test_block_order_matches_block_then_grevlex_of_the_rest():
             a, b = (mono_from_pairs((i, rng.randint(0, 2)) for i in range(nvars)) for _ in range(2))
             expected = (oracle(a) > oracle(b)) - (oracle(a) < oracle(b))
             assert order.compare(a, b, nvars) == expected, (block, a, b)
+
+
+class TestSortKeys:
+    """MonomialOrder.key_function builds one key per (order, nvars), shared by
+    equal orders, by every ring with that many variables and by compare."""
+
+    def test_equal_orders_share_one_key(self):
+        assert MonomialOrder.elimination({1}).key_function(3) is MonomialOrder.elimination([1]).key_function(3)
+
+    def test_another_variable_count_gets_another_key(self):
+        assert GREVLEX.key_function(3) is not GREVLEX.key_function(4)
+
+    def test_rings_with_as_many_variables_share_one_key(self):
+        assert PolyRing(QQ, ("x", "y")).sort_key(GREVLEX) is PolyRing(F5, ("a", "b")).sort_key(GREVLEX)
+
+    @pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_round_tripped_order_finds_the_same_key(self, roundtrip):
+        order = MonomialOrder.elimination({0, 2})
+        copied = roundtrip(order)
+        assert copied == order
+        assert copied.key_function(4) is order.key_function(4)
+
+    def test_an_unknown_kind_raises_on_every_call(self):
+        order = MonomialOrder("bogus")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown order kind 'bogus'"):
+                order.key_function(2)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({1, 3})], ids=["lex", "grevlex", "block"])
+    def test_compare_agrees_with_sort_key(self, order):
+        rng = random.Random(7)
+        ring = PolyRing(QQ, ("a", "b", "c", "d"))
+        key = ring.sort_key(order)
+        for _ in range(300):
+            a, b = (mono_from_pairs((i, rng.randint(0, 3)) for i in range(4)) for _ in range(2))
+            assert order.compare(a, b, 4) == (key(a) > key(b)) - (key(a) < key(b)), (a, b)
 
 
 class TestRingIndex:
