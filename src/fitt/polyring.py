@@ -314,6 +314,20 @@ class MonomialOrder:
 
     kind: str
     block: frozenset[int] = field(default_factory=frozenset)
+    # the hash of (kind, block), taken once: every key_function lookup hashes
+    # the order, and the generated __hash__ would rebuild and hash that tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.block)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is taken again under
+        # the receiving process's hash seed
+        return MonomialOrder, (self.kind, self.block)
 
     @staticmethod
     def elimination(block: Iterable[int]) -> "MonomialOrder":

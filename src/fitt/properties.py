@@ -5,6 +5,13 @@ and a trial function that draws one instance from the suite's private Random
 and yields an `(ok, describe)` pair per law it checks.  `run_properties` seeds
 each suite off one run seed, so a run is reproducible end to end.  Suites
 return trial/failure counts; the CLI and the test suite both consume them.
+
+Every integer draw goes through the module's own getrandbits helper _below,
+with _randint and _choice on top of it.  They read the same bits as
+Random.randint, choice and randrange and return the same numbers, so the
+instances are fixed by fitt's code rather than by the interpreter's randint;
+tests/test_properties.py checks the helpers against Random and pins the
+instance stream with a digest.  Random.random is called as it is.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .polyring import (
     PolyRing,
     Polynomial,
     mono_divides,
-    mono_from_pairs,
     mono_mul,
     parse_polynomial,
     print_polynomial,
@@ -74,19 +80,53 @@ _FIELDS = (CoefficientField(0), CoefficientField(2), CoefficientField(3), Coeffi
 _PRIME_FIELDS = (CoefficientField(2), CoefficientField(3), CoefficientField(5))
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n): getrandbits(n.bit_length()), redrawn
+    until below n; n = 1 still consumes bits.  This is the loop of CPython's
+    Random._randbelow_with_getrandbits (the same in 3.10 to 3.13), where
+    randint, choice and randrange(n) all end, at one Python frame a draw
+    instead of three."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """rng.randint(a, b), drawing the same bits."""
+    return a + _below(rng, b - a + 1)
+
+
+def _choice(rng: random.Random, seq):
+    """rng.choice(seq), drawing the same bits; an empty seq raises
+    ValueError (Random.choice raises IndexError)."""
+    return seq[_below(rng, len(seq))]
+
+
 def _rand_monomial(rng: random.Random, nvars: int, max_deg: int, min_deg: int = 0) -> Monomial:
+    """A budget drawn from min_deg..max_deg, spent on the variables in index
+    order; redrawn until at least min_deg of it is spent."""
+    if min_deg > max_deg or (nvars <= 0 and min_deg > 0):
+        raise ValueError(
+            f"no monomial in {nvars} variables has degree {min_deg}..{max_deg}"
+        )
     while True:
         pairs = []
-        budget = rng.randint(min_deg, max_deg)
+        total = budget = min_deg + _below(rng, max_deg - min_deg + 1)
         for idx in range(nvars):
             if budget <= 0:
                 break
-            e = rng.randint(0, budget)
+            e = _below(rng, budget + 1)
             if e:
                 pairs.append((idx, e))
                 budget -= e
-        if sum(e for _, e in pairs) >= min_deg:
-            return mono_from_pairs(pairs)
+        if total - budget >= min_deg:
+            # indices ascend, exponents are positive and at most max_deg:
+            # already the canonical form mono_from_pairs would make
+            return tuple(pairs)
 
 
 def _rand_poly(
@@ -97,15 +137,15 @@ def _rand_poly(
     min_deg: int = 0,
 ) -> Polynomial:
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        c = rng.randint(-4, 4)
+    for _ in range(_randint(rng, 1, max_terms)):
+        c = _randint(rng, -4, 4)
         terms.append((_rand_monomial(rng, ring.nvars, max_deg, min_deg), c))
     return ring.from_terms(terms)
 
 
 def _rand_ring(rng: random.Random, fields=_FIELDS, max_vars: int = 3, min_vars: int = 1) -> PolyRing:
-    fld = rng.choice(fields)
-    nvars = rng.randint(min_vars, max_vars)
+    fld = _choice(rng, fields)
+    nvars = _randint(rng, min_vars, max_vars)
     return PolyRing(fld, [f"x{i}" for i in range(1, nvars + 1)])
 
 
@@ -127,12 +167,12 @@ def _leibniz(rng: random.Random, k: int) -> Checks:
     """derivative(f*g) = derivative(f)*g + f*derivative(g): the first 100
     trials over Q, the rest over F_p."""
     if k < 100:
-        nvars = rng.randint(1, 3)
+        nvars = _randint(rng, 1, 3)
         ring = PolyRing(CoefficientField(0), [f"x{i}" for i in range(1, nvars + 1)])
     else:
         ring = _rand_ring(rng, _PRIME_FIELDS)
     f, g = _rand_poly(rng, ring), _rand_poly(rng, ring)
-    v = rng.randrange(ring.nvars)
+    v = _below(rng, ring.nvars)
     ok = (f * g).derivative(v) == f.derivative(v) * g + f * g.derivative(v)
     yield ok, lambda: f"Leibniz broke for f={f}, g={g}, v={v} over {ring}"
 
@@ -149,7 +189,7 @@ def _frobenius_kill(rng: random.Random, k: int) -> Checks:
 def _monomial_orders(rng: random.Random, k: int) -> Checks:
     """Multiplicativity and 1-minimality for lex, grevlex, and a block order."""
     nvars = 4
-    order = rng.choice((LEX, GREVLEX, MonomialOrder.elimination({0, 2})))
+    order = _choice(rng, (LEX, GREVLEX, MonomialOrder.elimination({0, 2})))
     a = _rand_monomial(rng, nvars, 5)
     b = _rand_monomial(rng, nvars, 5)
     c = _rand_monomial(rng, nvars, 5)
@@ -175,7 +215,7 @@ def _rand_ideal(rng: random.Random, ring: PolyRing, max_gens: int = 3, min_deg: 
         ring,
         [
             _rand_poly(rng, ring, max_terms=3, max_deg=3, min_deg=min_deg)
-            for _ in range(rng.randint(1, max_gens))
+            for _ in range(_randint(rng, 1, max_gens))
         ],
     )
 
@@ -184,7 +224,7 @@ def _groebner_reduced(rng: random.Random, k: int) -> Checks:
     """The cached basis is reduced: monic leading terms, and no term of any
     element divisible by the leading term of another."""
     ring = _rand_ring(rng)
-    order = rng.choice((GREVLEX, LEX))
+    order = _choice(rng, (GREVLEX, LEX))
     I = _rand_ideal(rng, ring, min_deg=1)
     gb = I.groebner_basis(order)
     ok = True
@@ -202,10 +242,10 @@ def _groebner_spolys(rng: random.Random, k: int) -> Checks:
     """Every S-polynomial of a reduced basis reduces to zero against it, one
     check per S-pair."""
     ring = _rand_ring(rng, max_vars=4, min_vars=2)
-    order = rng.choice((GREVLEX, LEX))
+    order = _choice(rng, (GREVLEX, LEX))
     gens = [
         _rand_poly(rng, ring, max_terms=3, max_deg=3, min_deg=1)
-        for _ in range(rng.randint(2, 4))
+        for _ in range(_randint(rng, 2, 4))
     ]
     I = Ideal(ring, gens)
     gb = I.groebner_basis(order)
@@ -220,7 +260,7 @@ def _member_order_invariance(rng: random.Random, k: int) -> Checks:
     ring = _rand_ring(rng)
     I = _rand_ideal(rng, ring)
     if rng.random() < 0.5 and I.generators:
-        f = _rand_poly(rng, ring) * rng.choice(I.generators)
+        f = _rand_poly(rng, ring) * _choice(rng, I.generators)
     else:
         f = _rand_poly(rng, ring)
     ok = ideal_member(f, I, GREVLEX) == ideal_member(f, I, LEX)
@@ -267,8 +307,8 @@ def _rand_module(rng: random.Random, max_rows: int = 3, max_cols: int = 3) -> Pr
     ring = _rand_ring(rng, max_vars=2)
     relations = Ideal(ring, [_rand_poly(rng, ring, max_terms=2, max_deg=2)]) if rng.random() < 0.4 else Ideal(ring)
     algebra = PresentedAlgebra(ring, relations)
-    m = rng.randint(1, max_rows)
-    c = rng.randint(1, max_cols)
+    m = _randint(rng, 1, max_rows)
+    c = _randint(rng, 1, max_cols)
     matrix = tuple(
         tuple(_rand_poly(rng, ring, max_terms=2, max_deg=2) for _ in range(c)) for _ in range(m)
     )
@@ -323,11 +363,11 @@ def _fitting_base_change(rng: random.Random, k: int) -> Checks:
     """Fitting ideals commute with the substitutions x_j -> 0 and x_j -> x_j + c."""
     M = _rand_module(rng, max_rows=2, max_cols=2)
     ring = M.algebra.ring
-    name = rng.choice(ring.variables)
+    name = _choice(rng, ring.variables)
     if rng.random() < 0.5:
         image = ring.zero()
     else:
-        image = ring.variable(name) + ring.constant(rng.randint(1, 3))
+        image = ring.variable(name) + ring.constant(_randint(rng, 1, 3))
     mapping = {name: image}
     M2 = base_change(M, mapping, ring)
     ok = True
@@ -346,7 +386,7 @@ def _annihilator_diagonal(rng: random.Random, k: int) -> Checks:
     the intersection of the (a_i), check b*Fitt_{i+1} inside Fitt_i, and the
     standard containments Fitt_0 inside b and b^m inside Fitt_0."""
     ring = _rand_ring(rng)
-    m = rng.randint(1, 3)
+    m = _randint(rng, 1, 3)
     diag = []
     for _ in range(m):
         f = _rand_poly(rng, ring, max_terms=2, max_deg=2)

@@ -1,10 +1,14 @@
 import copy
+import dataclasses
 import operator
+import os
 import pickle
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,40 @@ class TestSortKeys:
         copied = roundtrip(order)
         assert copied == order
         assert copied.key_function(4) is order.key_function(4)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({0, 2})], ids=["lex", "grevlex", "block"])
+    def test_the_stored_hash_is_the_hash_of_kind_and_block(self, order):
+        # the value the dataclass-generated __hash__ gave, so no hash moves
+        assert hash(order) == hash((order.kind, order.block))
+        for made in (copy.copy(order), copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+            assert made == order and hash(made) == hash(order)
+        other = dataclasses.replace(order, block=frozenset({1}))
+        assert hash(other) == hash((order.kind, frozenset({1})))
+
+    def test_the_stored_hash_is_not_compared_or_shown(self):
+        order = MonomialOrder.elimination({0, 2})
+        assert repr(order) == "MonomialOrder(kind='block', block=frozenset({0, 2}))"
+        assert order == MonomialOrder("block", frozenset({2, 0}))
+        assert order != MonomialOrder.elimination({0}) and order != GREVLEX
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            order.kind = "lex"
+
+    def test_an_unpickled_order_is_hashed_under_its_own_hash_seed(self):
+        # a hash pickled with the order would be stale in a process with
+        # another hash seed (a worker of the process pool, say)
+        src = Path(__file__).resolve().parent.parent / "src"
+        data = pickle.dumps(MonomialOrder.elimination({0, 2}))
+        probe = (
+            "import pickle, sys; "
+            "o = pickle.loads(sys.stdin.buffer.read()); "
+            "print(hash(o) == hash((o.kind, o.block)), o.key_function(3) is o.elimination({2, 0}).key_function(3))"
+        )
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            out = subprocess.run(
+                [sys.executable, "-c", probe], input=data, env=env, capture_output=True, check=True
+            ).stdout
+            assert out == b"True True\n", seed
 
     def test_an_unknown_kind_raises_on_every_call(self):
         order = MonomialOrder("bogus")

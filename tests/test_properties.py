@@ -1,9 +1,13 @@
 """The seeded randomized suites: zero failures at the repo seed, with the
 trial-count floors the acceptance criteria require."""
 
+import hashlib
 import random
 
+import pytest
+
 from fitt import properties
+from fitt.polyring import mono_from_pairs
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
 
@@ -89,3 +93,104 @@ def test_annihilator_suite_builds_each_fitting_ideal_once(monkeypatch):
         for ok, describe in properties._annihilator_diagonal(random.Random(k), k):
             assert ok, describe()
         assert calls and len(calls) == len(set(calls)), calls
+
+
+# Widths of the draws the stream tests make: every width up to 17, then each
+# power of two from 2^5 to 2^64 with its neighbours.  A width just above a
+# power of two rejects almost half its draws.
+_WIDTHS = sorted(set(range(1, 18)) | {2**k + d for k in range(5, 65) for d in (-1, 0, 1)})
+
+
+def _twins(seed):
+    return random.Random(seed), random.Random(seed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_randint_draws_what_random_draws(seed):
+    """Same value and same generator state after every draw: a width-1 range
+    still consumes bits, and -4..4 (9 values, 4 bits) rejects."""
+    ours, theirs = _twins(seed)
+    bounds = [(0, 0), (5, 5), (-4, 4), (1, 3), (-7, 0), (-(2**40), 2**40)]
+    bounds += [(lo, lo + w - 1) for w in _WIDTHS for lo in (0, -(w // 2))]
+    for a, b in bounds:
+        assert properties._randint(ours, a, b) == theirs.randint(a, b), (a, b)
+        assert ours.getstate() == theirs.getstate(), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_below_and_choice_draw_what_random_draws(seed):
+    ours, theirs = _twins(seed)
+    for n in _WIDTHS:
+        assert properties._below(ours, n) == theirs.randrange(n), n
+        assert ours.getstate() == theirs.getstate(), n
+        if n <= 2**20:
+            seq = range(n)
+            assert properties._choice(ours, seq) == theirs.choice(seq), n
+            assert ours.getstate() == theirs.getstate(), n
+
+
+def test_an_empty_range_raises_without_drawing():
+    rng = random.Random(3)
+    state = rng.getstate()
+    for draw in (
+        lambda: properties._below(rng, 0),
+        lambda: properties._below(rng, -3),
+        lambda: properties._randint(rng, 1, 0),
+        lambda: properties._choice(rng, ()),
+    ):
+        with pytest.raises(ValueError, match="empty range"):
+            draw()
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "nvars, max_deg, min_deg",
+    [(3, 2, 3), (0, 3, 1), (0, 0, 1)],
+    ids=["min-above-max", "no-variables", "no-variables-no-room"],
+)
+def test_rand_monomial_refuses_an_unreachable_degree(nvars, max_deg, min_deg):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no monomial"):
+        properties._rand_monomial(rng, nvars, max_deg, min_deg)
+    assert rng.getstate() == state
+
+
+def test_rand_monomial_is_canonical_and_within_its_degrees():
+    rng = random.Random(11)
+    assert properties._rand_monomial(rng, 0, 3) == ()
+    for nvars, max_deg, min_deg in ((1, 1, 1), (3, 3, 0), (4, 5, 2), (2, 4, 4)):
+        for _ in range(500):
+            m = properties._rand_monomial(rng, nvars, max_deg, min_deg)
+            assert m == mono_from_pairs(m)
+            assert all(0 <= idx < nvars for idx, _ in m)
+            assert min_deg <= sum(e for _, e in m) <= max_deg, m
+
+
+def test_instance_stream_is_pinned(monkeypatch):
+    """A digest of every instance the suites draw over the four seeds from
+    DEFAULT_SEED: each polynomial's ring and printed text, and each monomial,
+    in draw order.  An edit to a generator that changes one instance fails
+    here, so the suites and the benchmark's props rows keep their instances."""
+    digest = hashlib.sha256()
+    counts = {"poly": 0, "mono": 0}
+    real_poly, real_mono = properties._rand_poly, properties._rand_monomial
+
+    def poly(*args, **kwargs):
+        f = real_poly(*args, **kwargs)
+        counts["poly"] += 1
+        digest.update(f"P {f.ring!r} {f}\n".encode())
+        return f
+
+    def mono(*args, **kwargs):
+        m = real_mono(*args, **kwargs)
+        counts["mono"] += 1
+        digest.update(f"M {m!r}\n".encode())
+        return m
+
+    monkeypatch.setattr(properties, "_rand_poly", poly)
+    monkeypatch.setattr(properties, "_rand_monomial", mono)
+    for seed in range(DEFAULT_SEED, DEFAULT_SEED + 4):
+        run_properties(seed)
+    assert counts == {"poly": 11_855, "mono": 26_519}
+    assert digest.hexdigest() == "45cf359620c09bcbebcf20817b64c47731ffd7c05cb970b822740c5621c7ebd2"
