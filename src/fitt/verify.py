@@ -27,6 +27,14 @@ F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.  R
 lists x_1..x_n before the U block, so groebner.contract takes F'R + J to
 k[x] directly.
 
+image compares each chart's contraction with the center before it
+intersects any.  Under the corrected index every contraction is the center
+(docs/chart_fitting.md), and then so is their intersection, which image
+returns without forming it.  Only when some contraction differs does image
+intersect them all, as the fallback: contractions that differ from the
+center can still intersect to it.  Under the paper index with s >= 2 every
+contraction is the unit ideal, so the fallback runs there.
+
 _chart_fittings keeps a memo of the most recent row, keyed by the tuple and
 the chart index: each chart's pruned presentation and Fitting ideal are
 computed once, and each chart's verdict once, however many of thm41, cor42
@@ -101,7 +109,9 @@ def _ms(start: float) -> int:
 class ChartCheck:
     """One chart's verdict.  For thm41 and cor42 (one shared verdict), ms covers
     building the chart when that pass builds it, plus the comparison; for
-    image, only image's own pull-back, contraction and containment test."""
+    image, only image's own pull-back, contraction, and its equality and
+    containment tests against the center.  An image chart's equal means the
+    contraction contains the center."""
 
     r: int
     equal: bool
@@ -242,25 +252,32 @@ def check_corollary42(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> 
 
 def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tuple[bool, list[ChartCheck]]:
     """Contract each chart Fitting ideal (r > l) to k[x], the leading
-    variables of the chart ring, intersect the contractions, and compare with
-    the center's ideal.  Per-chart entries record containment of the center.
-    The Fitting ideal is computed on the pruned chart (or read from the row's
-    memo) and pulled back to the full chart ring as its generators plus the
-    chart relations."""
+    variables of the chart ring, and compare the intersection of the
+    contractions with the center's ideal.  Each contraction is first compared
+    with the center on its own; when every one equals it, so does their
+    intersection, and none is formed.  Otherwise the contractions are
+    intersected in chart order and the result compared, since contractions
+    that differ from the center can still intersect to it.  Per-chart entries
+    record containment of the center.  The Fitting ideal is computed on the
+    pruned chart (or read from the row's memo) and pulled back to the full
+    chart ring as its generators plus the chart relations."""
     params.validate()
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
     center = Ideal(xring, [xring.variable(f"x{i}") ** e for i, e in params.powers()])
-    details = []
-    combined: Optional[Ideal] = None
+    details, contractions, every_equal = [], [], True
     for r, entry in _chart_fittings(params, policy, params.l + 1):
         start = time.perf_counter()
         full = chart_presentation(params, r).algebra
         ring = full.ring
         fitt = Ideal(ring, [g.transport(ring) for g in entry.fitting.generators] + list(full.relations.generators))
         contraction = contract(fitt, xring)
-        combined = contraction if combined is None else ideal_intersect(combined, contraction)
-        details.append(ChartCheck(r, ideal_contains(contraction, center), _ms(start)))
-    return ideal_equal(combined, center), details
+        contractions.append(contraction)
+        equal = ideal_equal(contraction, center)
+        every_equal = every_equal and equal
+        details.append(ChartCheck(r, equal or ideal_contains(contraction, center), _ms(start)))
+    if every_equal:
+        return True, details
+    return ideal_equal(functools.reduce(ideal_intersect, contractions), center), details
 
 
 def check_image_equals_center(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> bool:

@@ -15,14 +15,19 @@ def _by_name(results):
     return {r.name: r for r in results}
 
 
-def test_all_suites_pass_at_repo_seed():
-    results = run_properties(DEFAULT_SEED)
-    failing = [(r.name, r.notes) for r in results if r.failures]
-    assert properties_ok(results), f"property failures: {failing}"
+@pytest.fixture(scope="module")
+def repo_seed_results():
+    """One pass at the repo seed, read by every test that only inspects it."""
+    return run_properties(DEFAULT_SEED)
 
 
-def test_trial_count_floors():
-    suites = _by_name(run_properties(DEFAULT_SEED))
+def test_all_suites_pass_at_repo_seed(repo_seed_results):
+    failing = [(r.name, r.notes) for r in repo_seed_results if r.failures]
+    assert properties_ok(repo_seed_results), f"property failures: {failing}"
+
+
+def test_trial_count_floors(repo_seed_results):
+    suites = _by_name(repo_seed_results)
     assert suites["groebner-spolys"].trials >= 200
     derivative_checks = suites["leibniz"].trials + suites["frobenius-kill"].trials
     assert derivative_checks >= 200
@@ -38,7 +43,7 @@ def test_trial_count_floors():
     assert fitting_instances >= 100
 
 
-def test_suite_table_names_and_trial_counts():
+def test_suite_table_names_and_trial_counts(repo_seed_results):
     # every suite but groebner-spolys makes one check per trial, so its trial
     # count is fixed whatever the Random stream draws
     fixed = {
@@ -59,9 +64,8 @@ def test_suite_table_names_and_trial_counts():
         "annihilator-diagonal": 20,
         "kaehler-redundant-generator": 25,
     }
-    results = run_properties(DEFAULT_SEED)
-    assert [r.name for r in results] == list(fixed)
-    for r in results:
+    assert [r.name for r in repo_seed_results] == list(fixed)
+    for r in repo_seed_results:
         if fixed[r.name] is None:
             assert r.trials >= 250, r.name
         else:

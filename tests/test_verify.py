@@ -279,6 +279,49 @@ class TestImageEqualsCenter:
         assert check_image_equals_center(ReesParams(2, 3, 2, 2, (2, 1)), "corrected")
 
 
+class TestImageRoute:
+    """image compares each contraction with the center and intersects the
+    contractions only when one of them differs from it."""
+
+    @pytest.mark.parametrize(
+        "params", shipped_grid() + read_grid(STRETCH_FILE), ids=lambda params: params.flag_string()
+    )
+    def test_corrected_rows_form_no_intersection(self, params, monkeypatch):
+        def refuse(I, J):
+            raise AssertionError("image intersected contractions that all equal the center")
+
+        monkeypatch.setattr(fitt.verify, "ideal_intersect", refuse)
+        ok, details = image_details(params, "corrected")
+        assert ok and all(c.equal for c in details)
+
+    @pytest.mark.parametrize(
+        "text, policy", [("p=2 n=4 s=2 l=2 v=2,1,1", "paper"), ("p=2 n=3 s=1 l=1 v=2,1,1", 99)]
+    )
+    def test_unit_contractions_fall_back_to_the_intersection(self, text, policy, monkeypatch):
+        """Every contraction is the unit ideal here, so none equals the center:
+        the two charts' contractions are intersected once, and the verdict and
+        per-chart containment are the unpruned oracle's."""
+        params = ReesParams.parse(text)
+        real_intersect, real_contract = fitt.verify.ideal_intersect, fitt.verify.contract
+        intersections, contractions = [], []
+
+        def counting_intersect(I, J):
+            intersections.append((I, J))
+            return real_intersect(I, J)
+
+        def recording_contract(I, ring):
+            contractions.append(real_contract(I, ring))
+            return contractions[-1]
+
+        monkeypatch.setattr(fitt.verify, "ideal_intersect", counting_intersect)
+        monkeypatch.setattr(fitt.verify, "contract", recording_contract)
+        ok, details = image_details(params, policy)
+        assert len(intersections) == 1
+        assert len(contractions) == 2 and all(c.is_unit() for c in contractions)
+        assert not ok
+        assert (ok, [c.equal for c in details]) == image_unpruned(params, policy)
+
+
 class TestNonnormal:
     @pytest.mark.parametrize("p", [2, 3])
     def test_blowup_chart_is_nonnormal(self, p):
@@ -515,6 +558,18 @@ def test_stretch_grid_file_passes():
     grid = read_grid(STRETCH_FILE)
     assert len(grid) == 20 and len(STRETCH_GRID) == 7
     assert max(params.n for params in grid) == 16
+
+
+def test_large_grid_file_shape():
+    grid = read_grid(STRETCH_FILE.parent / "large.txt")
+    assert [(params.p, params.n, params.s, params.l) for params in grid] == [
+        (2, 20, 1, 1),
+        (2, 24, 1, 1),
+        (2, 20, 1, 10),
+        (3, 12, 1, 6),
+    ]
+    for params in grid:
+        params.validate()
 
 
 def test_shipped_grid_file_matches_default_grid():
