@@ -38,6 +38,10 @@ class ReesParams:
     v: tuple[int, ...]
 
     def validate(self) -> None:
+        fields = [("p", self.p), ("n", self.n), ("s", self.s), ("l", self.l)] + [("v", vi) for vi in self.v]
+        for name, value in fields:
+            if not isinstance(value, int) or isinstance(value, bool):  # a bool is an int
+                raise TypeError(f"{name}={value!r} must be an int, not {type(value).__name__}")
         if not is_prime(self.p):
             raise ReesParamsError(f"p={self.p} is not prime")
         if self.n < 1:

@@ -6,8 +6,8 @@ Two index policies ship.  "paper" uses n+s+l-1 for the global Fitting index;
 "corrected" uses n+l-s+1, which is what the reduction to s=1 combined with
 the shift law Fitt_{i+1}(M + free) = Fitt_i(M) actually forces.  They agree
 exactly when s=1.  Chart indices are one lower (the localization splits off a
-free rank-one summand).  An explicit integer index is accepted for negative
-controls.
+free rank-one summand).  An explicit integer index, but not a bool, is
+accepted for negative controls.
 
 Theorem 4.1 is checked on the blow-up charts.  The Rees ring A = k[x, T]/J is
 graded with T_r in degree one, so A[1/T_r] = C[T_r^{+-1}] for the chart
@@ -36,10 +36,11 @@ center can still intersect to it.  Under the paper index with s >= 2 every
 contraction is the unit ideal, so the fallback runs there.
 
 _chart_fittings keeps a memo of the most recent row, keyed by the tuple and
-the chart index: each chart's pruned presentation and Fitting ideal are
-computed once, and each chart's verdict once, however many of thm41, cor42
-and image ask for them.  A new row replaces the memo, so it holds one row at
-most.
+the chart index: each chart's Fitting ideal and cor42's target ideal are
+built once, however many of thm41, cor42 and image ask for them.  An ideal
+caches its reduced basis, so a repeat cor42 comparison runs no Buchberger.
+A new row replaces the memo, so it holds one row at most.  A chart's ms is
+the time that call spent on the chart, counting the build when it builds it.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def chart_fitting_index(params: ReesParams, policy: Policy) -> int:
 def policy_label(policy: Policy) -> str:
     if policy in (POLICY_PAPER, POLICY_CORRECTED):
         return policy
-    if isinstance(policy, int):
+    if isinstance(policy, int) and not isinstance(policy, bool):
         return "explicit"
     raise ValueError(f"unknown policy {policy!r}")
 
@@ -107,11 +108,9 @@ def _ms(start: float) -> int:
 
 @dataclass(frozen=True)
 class ChartCheck:
-    """One chart's verdict.  For thm41 and cor42 (one shared verdict), ms covers
-    building the chart when that pass builds it, plus the comparison; for
-    image, only image's own pull-back, contraction, and its equality and
-    containment tests against the center.  An image chart's equal means the
-    contraction contains the center."""
+    """One chart's verdict.  ms is the time that call spent on the chart,
+    counting the build when that call builds it.  An image chart's equal
+    means the contraction contains the center."""
 
     r: int
     equal: bool
@@ -193,38 +192,28 @@ def _chart_expected(params: ReesParams, chart: ChartAlgebra) -> Ideal:
     return Ideal(ring, gens)
 
 
-class _ChartEntry:
-    """One chart of the memoized row: the pruned chart, its Fitting ideal at
-    the chart index and, once computed, cor42's verdict.  (A plain class: a
-    dataclass adds to import time.)"""
-
-    __slots__ = ("chart", "fitting", "check")
-
-    def __init__(self, chart: ChartAlgebra, fitting: Ideal):
-        self.chart, self.fitting = chart, fitting
-        self.check: Optional[ChartCheck] = None
-
-
 @functools.lru_cache(maxsize=1)
-def _row_memo(p: int, n: int, s: int, l: int, v: tuple[int, ...], index: int) -> dict[int, _ChartEntry]:
-    """Chart r -> entry for the most recent row; a new key replaces it.  The
-    key is the tuple's fields, so a v given as a list is accepted too."""
+def _row_memo(p: int, n: int, s: int, l: int, v: tuple[int, ...], index: int) -> dict[int, tuple[Ideal, Ideal]]:
+    """Chart r -> (Fitting ideal, cor42's target ideal) for the most recent
+    row; a new key replaces it.  The key is the tuple's fields, so a v given
+    as a list is accepted too."""
     return {}
 
 
-def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[tuple[int, _ChartEntry]]:
-    """The one route to chart Fitting ideals: for r = first..n, yield r and the
-    memo entry holding the pruned chart and its Fitt at chart_fitting_index.
-    A chart missing from the row's memo is built and stored when reached, so
-    a caller computes only the charts it reaches.  Callers validate params."""
+def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[tuple[int, Ideal, Ideal]]:
+    """The one route to chart Fitting ideals: for r = first..n, yield r, the
+    pruned chart's Fitt at chart_fitting_index and cor42's target ideal.  A
+    chart missing from the row's memo is built and stored when reached, so a
+    caller computes only the charts it reaches, and its ms for a chart
+    counts the build when it builds it.  Callers validate params."""
     index = chart_fitting_index(params, policy)
     memo = _row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
     for r in range(first, params.n + 1):
-        entry = memo.get(r)
-        if entry is None:
+        pair = memo.get(r)
+        if pair is None:
             chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
-            entry = memo[r] = _ChartEntry(chart, kaehler_fitting(chart.algebra, index))
-        yield r, entry
+            pair = memo[r] = (kaehler_fitting(chart.algebra, index), _chart_expected(params, chart))
+        yield r, *pair
 
 
 def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> list[ChartCheck]:
@@ -234,11 +223,8 @@ def corollary42_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -
     params.validate()
     checks = []
     start = time.perf_counter()  # before the generator builds each chart
-    for r, entry in _chart_fittings(params, policy, params.s):
-        if entry.check is None:
-            equal = ideal_equal(entry.fitting, _chart_expected(params, entry.chart))
-            entry.check = ChartCheck(r, equal, _ms(start))
-        checks.append(entry.check)
+    for r, fitting, target in _chart_fittings(params, policy, params.s):
+        checks.append(ChartCheck(r, ideal_equal(fitting, target), _ms(start)))
         start = time.perf_counter()
     return checks
 
@@ -265,16 +251,17 @@ def image_details(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> tupl
     xring = PolyRing(params.field, [f"x{i}" for i in range(1, params.n + 1)])
     center = Ideal(xring, [xring.variable(f"x{i}") ** e for i, e in params.powers()])
     details, contractions, every_equal = [], [], True
-    for r, entry in _chart_fittings(params, policy, params.l + 1):
-        start = time.perf_counter()
+    start = time.perf_counter()  # before the generator builds each chart
+    for r, fitting, _ in _chart_fittings(params, policy, params.l + 1):
         full = chart_presentation(params, r).algebra
         ring = full.ring
-        fitt = Ideal(ring, [g.transport(ring) for g in entry.fitting.generators] + list(full.relations.generators))
+        fitt = Ideal(ring, [g.transport(ring) for g in fitting.generators] + list(full.relations.generators))
         contraction = contract(fitt, xring)
         contractions.append(contraction)
         equal = ideal_equal(contraction, center)
         every_equal = every_equal and equal
         details.append(ChartCheck(r, equal or ideal_contains(contraction, center), _ms(start)))
+        start = time.perf_counter()
     if every_equal:
         return True, details
     return ideal_equal(functools.reduce(ideal_intersect, contractions), center), details

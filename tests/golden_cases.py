@@ -283,6 +283,22 @@ CASES = [
         0,
         True,
     ),
+    # the single-verb reports on a large tail-heavy tuple: ten charts r <= l
+    # and ten r > l
+    (
+        "verify_cor42_large_text",
+        ["verify", "cor42", "--p", "2", "--n", "20", "--s", "1", "--l", "10",
+         "--v", "2,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1", "--no-timing"],
+        0,
+        True,
+    ),
+    (
+        "verify_image_large_text",
+        ["verify", "image", "--p", "2", "--n", "20", "--s", "1", "--l", "10",
+         "--v", "2,2,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1,1,1", "--no-timing"],
+        0,
+        True,
+    ),
     # property-suite output depends on the interpreter's Random stream, so the
     # bytes are checked run-against-run but not frozen in the repository
     (

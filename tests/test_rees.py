@@ -48,6 +48,20 @@ class TestReesParams:
         with pytest.raises(ReesParamsError, match=fragment):
             params.validate()
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            (ReesParams(2, 2, True, 1, (2, True)), "s=True must be an int, not bool"),
+            (ReesParams(2, 2, 1, 1, (2, True)), "v=True must be an int, not bool"),
+            (ReesParams(2, 2, 1, 1, (2, "1")), "v='1' must be an int, not str"),
+            (ReesParams("2", 2, 1, 1, (2, 1)), "p='2' must be an int, not str"),
+        ],
+    )
+    def test_validation_refuses_a_field_that_is_not_an_int(self, params, message):
+        # a bool is an int to Python, but would print as true in a report
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            params.validate()
+
     def test_p_dividing_an_exponent_suffices(self):
         ReesParams(2, 2, 1, 1, (6, 1)).validate()  # 2 | 6 suffices for the theorem shape
 

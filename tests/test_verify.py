@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fitt.groebner
 import fitt.verify
 from fitt.groebner import (
     Ideal,
@@ -57,6 +58,12 @@ class TestIndexPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             fitting_index(ReesParams(2, 2, 1, 1, (2, 1)), "guess")
+
+    @pytest.mark.parametrize("policy", [True, False])
+    def test_a_bool_is_not_an_explicit_index(self, policy):
+        # refused like "guess": a bool would reach the report as "index_used": true
+        with pytest.raises(ValueError, match=f"^unknown policy {policy!r}$"):
+            evaluate_params(ReesParams(2, 3, 1, 2, (2, 2, 1)), policy)
 
 
 class TestTheorem41:
@@ -471,9 +478,20 @@ def _chart_vector(report):
     return tuple(c.equal for c in report.charts)
 
 
+def _memo(params, policy="corrected"):
+    """The row memo of params at policy's chart index."""
+    index = chart_fitting_index(params, policy)
+    return fitt.verify._row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
+
+
+def _verdicts(charts):
+    return [(c.r, c.equal) for c in charts]
+
+
 class TestRowMemo:
-    """The chart Fitting ideals and verdicts of the most recent row are
-    computed once and shared by thm41, cor42 and image."""
+    """The chart Fitting and target ideals of the most recent row are built
+    once and shared by thm41, cor42 and image; their cached bases make a
+    repeat cor42 comparison free."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
@@ -504,14 +522,32 @@ class TestRowMemo:
     def test_image_alone_computes_only_its_charts_and_no_verdicts(self, calls):
         params = ReesParams.parse("p=2 n=7 s=2 l=3 v=2,4,1,1,1,1")
         assert image_details(params)[0]
-        assert calls == {"fitting": params.n - params.l, "expected": 0}
+        assert calls["fitting"] == params.n - params.l
+        # a cor42 verdict would leave a reduced basis on both ideals of its chart
+        memo = _memo(params)
+        assert sorted(memo) == list(range(params.l + 1, params.n + 1))
+        assert not any(ideal._gb for pair in memo.values() for ideal in pair)
 
-    def test_corollary_after_theorem_computes_nothing(self, calls):
+    def test_corollary_after_theorem_computes_nothing(self, calls, monkeypatch):
         params = ReesParams.parse("p=3 n=4 s=2 l=3 v=3,3,1")
         report = check_theorem41(params)
         before = dict(calls)
-        assert corollary42_details(params) == report.charts
-        assert calls == before
+        runs, buchberger = [], fitt.groebner.buchberger
+        monkeypatch.setattr(fitt.groebner, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
+        assert _verdicts(corollary42_details(params)) == _verdicts(report.charts)
+        assert (calls, runs) == (before, [])
+
+    @pytest.mark.parametrize(
+        "text,policy", [("p=2 n=7 s=2 l=3 v=2,4,1,1,1,1", "corrected"), ("p=2 n=3 s=2 l=2 v=2,1", "paper")]
+    )
+    def test_corollary_after_image_builds_only_the_charts_image_left(self, calls, text, policy):
+        params = ReesParams.parse(text)
+        image_details(params, policy)
+        before = calls["fitting"]
+        after_image = _verdicts(corollary42_details(params, policy))
+        assert calls["fitting"] - before == params.l - params.s + 1
+        fitt.verify._row_memo.cache_clear()
+        assert after_image == _verdicts(corollary42_details(params, policy))
 
     def test_index_change_replaces_the_row(self):
         params = ReesParams.parse("p=2 n=3 s=1 l=2 v=2,2,1")
