@@ -1,17 +1,21 @@
 """Buchberger's algorithm and the ideal toolkit built on it.
 
 Reduction, membership, equality, elimination via block orders, contraction
-to leading variables, saturation by the Rabinowitsch trick, intersection via
-the t-trick, and comparison of ideals after inverting an element.  Reduced
-Groebner bases are cached per (ideal, order), and saturations per (ideal,
-element).  Determinism comes from the normal selection strategy with index
-tie-breaks and from the uniqueness of the reduced basis, which also decides
-equality.  The strategy runs on a heap of pairs ranked (deg lcm, i, j): each
-rank and lcm is computed once, when the pair is formed.
+to leading variables, saturation by a nonzerodivisor certificate or else the
+Rabinowitsch trick, intersection via the t-trick, and comparison of ideals
+after inverting an element.  Reduced Groebner bases are cached per (ideal,
+order), and saturations per (ideal, element).  Determinism comes from the
+normal selection strategy with index tie-breaks and from the uniqueness of
+the reduced basis, which also decides equality.  The strategy runs on a heap
+of pairs ranked (deg lcm, i, j): each rank and lcm is computed once, when
+the pair is formed.
 
 Known answers skip the work: Buchberger stops with (1) as soon as a
 generator or a reduced S-polynomial is a nonzero constant; everything is a
-member of an ideal whose basis is (1); equal generator tuples are equal.
+member of an ideal whose basis is (1); equal generator tuples are equal; and
+saturating at a single term none of whose variables occurs in a leading
+monomial of the ideal's grevlex basis returns the ideal, since such a term
+is a nonzerodivisor modulo it (docs/chart_fitting.md).
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -275,6 +279,14 @@ def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
     return ideal
 
 
+def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:
+    """Indices of the variables that occur in some grevlex leading monomial
+    of basis.  A variable outside this set is a nonzerodivisor modulo the
+    ideal when basis is a Groebner basis of it: if x*f lies in the ideal for
+    f in normal form, some leading monomial divides x*lm(f), hence lm(f)."""
+    return frozenset(idx for g in basis for idx, _ in g.leading_term(GREVLEX)[0])
+
+
 def contract(I: Ideal, ring: PolyRing) -> Ideal:
     """I intersected with ring, which must be I.ring's leading variables over
     the same field.  The trailing block is eliminated; as it comes last, each
@@ -289,10 +301,15 @@ def contract(I: Ideal, ring: PolyRing) -> Ideal:
 
 
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g^infinity), by adjoining a fresh variable w, forming I + (w*g - 1),
-    and contracting back to the ring of I.  The result is cached on I per g,
-    so each saturation of an ideal is computed once; the result's own cache
-    starts empty."""
+    """(I : g^infinity).  For a single-term g whose variables occur in no
+    leading monomial of I's reduced grevlex basis, g is a nonzerodivisor
+    modulo I, so the saturation is I itself, returned with that basis as its
+    generators (see docs/chart_fitting.md).  Otherwise adjoin a fresh
+    variable w, form I + (w*g - 1), and contract back to the ring of I.
+    Either way the generators are the reduced grevlex basis, which is
+    unique, so the route leaves no trace in the result.  The result is
+    cached on I per g, so each saturation of an ideal is computed once; the
+    result's own cache starts empty."""
     ring = I.ring
     if g.ring != ring:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
@@ -303,6 +320,11 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     cached = I._sat.get(g)
     if cached is not None:
         return cached
+    if len(g.terms) == 1:
+        basis = I.groebner_basis()
+        if _lead_variables(basis).isdisjoint(idx for m in g.terms for idx, _ in m):
+            sat = I._sat[g] = _with_grevlex_basis(ring, basis)
+            return sat
     aux = ring.fresh_name("w")
     ext = ring.extended([aux])
     w = ext.variable(aux)

@@ -12,11 +12,12 @@ computed on request.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, saturate
+from .groebner import Ideal, _lead_variables, saturate
 from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
@@ -134,7 +135,15 @@ def _check_powers(n: int, powers: Powers) -> None:
 def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> PresentedAlgebra:
     """Rees ring of (x_i^{e_i} : (i, e_i) in powers): T_i stands for x_i^{e_i}T,
     relations are the exchange binomials x_i^{e_i}*T_j - x_j^{e_j}*T_i.  The
-    ambient ring has x_1..x_n and then one T_i per generator."""
+    ambient ring has x_1..x_n and then one T_i per generator.  The most
+    recent presentation is memoized, so a row's Micali kernel and its
+    comparison share one relation ideal and its cached basis; powers may be
+    given as lists."""
+    return _rees_presentation(field, n, tuple((i, e) for i, e in powers))
+
+
+@functools.lru_cache(maxsize=1)
+def _rees_presentation(field: CoefficientField, n: int, powers: Powers) -> PresentedAlgebra:
     _check_powers(n, powers)
     names = [f"x{i}" for i in range(1, n + 1)]
     names.extend(f"T{i}" for i, _ in powers)
@@ -189,15 +198,22 @@ def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:
-    """Kernel of k[x, T-block] -> R[t], T_i -> x_i^{e_i} * t, as J : x_i^infinity
-    for the exchange-binomial ideal J and the first generator index i.  J
-    presents Sym(I) (a regular sequence has only Koszul syzygies), Sym(I) and
-    the Rees ring agree once x_i^{e_i} is inverted, and the Rees ring is a
-    domain.  Micali's theorem says this kernel equals J."""
+    """Kernel of k[x, T-block] -> R[t], T_i -> x_i^{e_i} * t, as J : x_v^infinity
+    for the exchange-binomial ideal J and any generator index v: J presents
+    Sym(I) (a regular sequence has only Koszul syzygies), Sym(I) and the
+    Rees ring agree once x_v^{e_v} is inverted, and the Rees ring is a
+    domain (docs/chart_fitting.md).  v is the first generator index whose
+    x_v occurs in no leading monomial of J's reduced grevlex basis, so that
+    saturate certifies J : x_v^infinity = J from that basis; when there is
+    none, v is the first generator index and saturate computes.  Micali's
+    theorem says this kernel equals J."""
     relations = ci_rees_presentation(field, n, powers).relations
     if not powers:
         return relations
-    return saturate(relations, relations.ring.variable(f"x{powers[0][0]}"))
+    ring = relations.ring
+    lead = _lead_variables(relations.groebner_basis())
+    v = next((i for i, _ in powers if ring.index(f"x{i}") not in lead), powers[0][0])
+    return saturate(relations, ring.variable(f"x{v}"))
 
 
 # ---------------------------------------------------------------------------

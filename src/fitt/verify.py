@@ -172,7 +172,9 @@ def check_theorem41(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> Ve
     """For each r in s..n, compare the Fitting ideal of the differentials with
     the target ideal after inverting x_r^{v_r}T (the variable T_r), and check
     that the exchange binomials are the full relation kernel.  The comparison
-    is the corollary's check on chart r (see the module docstring)."""
+    is the corollary's check on chart r (see the module docstring).  The
+    kernel and the relations come from one memoized Rees presentation, so
+    the kernel check reuses J's cached reduced basis."""
     charts = corollary42_details(params, policy)  # validates params first
     report = VerificationReport(params, policy_label(policy), fitting_index(params, policy), charts)
     report.micali_ok = ideal_equal(micali_kernel(params), rees_presentation(params).relations)
@@ -317,9 +319,14 @@ def check_nonnormal(p: int) -> bool:
 
 def evaluate_params(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> VerificationReport:
     """Full verification row: theorem charts, relation kernel, corollary
-    charts, and image = center.  An invalid tuple, or one whose computation
-    needs an exponent above the cap, is reported as skipped."""
+    charts, and image = center.  An invalid tuple, a field that is not an
+    int included, or one whose computation needs an exponent above the cap,
+    is reported as skipped."""
     try:
+        try:
+            params.validate()
+        except TypeError as err:  # only validate's: a TypeError in a check is a fault
+            raise ReesParamsError(str(err)) from err
         report = check_theorem41(params, policy)
         report.corollary_ok = check_corollary42(params, policy)
         report.image_ok = check_image_equals_center(params, policy)
@@ -336,8 +343,8 @@ def run_grid(
     workers: int = 1,
 ) -> list[VerificationReport]:
     """Evaluate each tuple independently; report order follows input order.
-    Invalid tuples and exponent overflows are reported as skipped, never
-    aborting the run."""
+    Invalid tuples, a non-int field included, and exponent overflows are
+    reported as skipped, never aborting the run."""
     policies = itertools.repeat(policy)
     size = min(workers, len(grid), os.cpu_count() or 1)
     if size <= 1:

@@ -643,6 +643,48 @@ class TestSaturationMemo:
 
 
 # ---------------------------------------------------------------------------
+# Saturation at a single term: a nonzerodivisor certificate from I's basis,
+# or else the Rabinowitsch route
+
+def _saturate_by_rabinowitsch(I, g):
+    """Oracle: I + (w*g - 1) in one more variable, contracted back."""
+    ring = I.ring
+    aux = ring.fresh_name("w")
+    ext = ring.extended([aux])
+    gens = [h.transport(ext) for h in I.generators]
+    gens.append(ext.variable(aux) * g.transport(ext) - ext.one())
+    return contract(Ideal(ext, gens), ring)
+
+
+class TestSaturationCertificate:
+    def test_a_zero_divisor_falls_back_to_rabinowitsch(self, monkeypatch):
+        ring = PolyRing(QQ, ("x1", "x2", "x3"))
+        I = Ideal(ring, [ring.parse("x1*x2"), ring.parse("x1*x3")])
+        calls = _record_calls(monkeypatch, "eliminate")
+        got = saturate(I, ring.variable("x1"))
+        assert len(calls) == 1
+        assert got.generators == (ring.parse("x3"), ring.parse("x2"))
+
+    @pytest.mark.parametrize("characteristic", [2, 3, 0])
+    def test_matches_rabinowitsch_on_random_ideals(self, characteristic, monkeypatch):
+        ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+        rng = random.Random(7000 + characteristic)
+        calls = _record_calls(monkeypatch, "eliminate")
+        routes = {"certified": 0, "fallback": 0}
+        for _ in range(60):
+            I = _random_ideal(rng, ring)
+            exps = [0] * ring.nvars
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(ring.nvars)] += 1
+            g = ring.from_terms([(mono_from_pairs(enumerate(exps)), rng.choice((1, -1)))])
+            before = len(calls)
+            got = saturate(I, g)
+            routes["certified" if len(calls) == before else "fallback"] += 1
+            assert got.generators == _saturate_by_rabinowitsch(I, g).generators, (I, g)
+        assert routes["certified"] >= 5 and routes["fallback"] >= 5, routes
+
+
+# ---------------------------------------------------------------------------
 # ideal_equal against two-way containment, the route it replaced
 
 def _equal_by_containment(I, J):

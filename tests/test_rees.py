@@ -1,5 +1,7 @@
 import pytest
 
+import fitt.rees
+from fitt import groebner
 from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member
 from fitt.polyring import EXPONENT_CAP, CoefficientField, PolyRing
 from fitt.rees import (
@@ -16,7 +18,7 @@ from fitt.rees import (
     target_ideal,
 )
 
-from grid_cases import STRETCH_GRID, shipped_grid, transport_ideal
+from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
 
 
 class TestReesParams:
@@ -92,6 +94,24 @@ class TestPresentation:
     def test_invalid_params_refused(self):
         with pytest.raises(ReesParamsError):
             rees_presentation(ReesParams(2, 3, 1, 3, (2, 2, 2)))
+
+    def test_equal_arguments_share_one_presentation(self):
+        field = CoefficientField(3)
+        first = ci_rees_presentation(field, 3, ((1, 3), (3, 1)))
+        assert ci_rees_presentation(CoefficientField(3), 3, ((1, 3), (3, 1))) is first
+        other = ci_rees_presentation(field, 3, ((1, 3), (2, 1)))
+        assert other is not first and other.ring.variables == ("x1", "x2", "x3", "T1", "T2")
+
+    def test_powers_may_be_a_list(self):
+        field = CoefficientField(2)
+        listed = ci_rees_presentation(field, 3, [[1, 2], [2, 2], [3, 1]])
+        assert listed is ci_rees_presentation(field, 3, ((1, 2), (2, 2), (3, 1)))
+        assert len(listed.relations.generators) == 3
+
+    def test_invalid_powers_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ReesParamsError, match="repeated generator index 2"):
+                ci_rees_presentation(CoefficientField(2), 3, ((2, 2), (2, 1)))
 
 
 class TestTargetAndExceptional:
@@ -364,6 +384,28 @@ class TestMicali:
         powers = ((2, 3), (3, 9))
         kernel = ci_micali_kernel(field, 3, powers)
         assert ideal_equal(kernel, ci_rees_presentation(field, 3, powers).relations)
+
+
+@pytest.mark.parametrize(
+    "params", shipped_grid() + read_grid(STRETCH_FILE), ids=lambda p: p.flag_string()
+)
+def test_micali_kernel_is_certified_without_elimination(params, monkeypatch):
+    """Every shipped tuple has a generator variable that no leading monomial
+    of J's reduced grevlex basis contains, so the kernel is J's basis and no
+    Rabinowitsch saturation runs."""
+    fitt.rees._rees_presentation.cache_clear()
+    calls = []
+    real = groebner.eliminate
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "eliminate", recording)
+    kernel = micali_kernel(params)
+    relations = rees_presentation(params).relations
+    assert calls == []
+    assert kernel.generators == relations.groebner_basis()
 
 
 def test_ambient_counts():

@@ -380,6 +380,20 @@ class TestRunGrid:
         assert [r.status for r in reports] == ["pass", "skipped"]
         assert "l < n" in reports[1].reason
 
+    def test_non_int_field_is_skipped_not_fatal(self):
+        grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(2, 2, True, 1, (2, True))]
+        reports = run_grid(grid)
+        assert [r.status for r in reports] == ["pass", "skipped"]
+        assert reports[1].reason == "s=True must be an int, not bool"
+
+    def test_a_type_error_in_a_check_is_not_skipped(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a fault in the checks")
+
+        monkeypatch.setattr(fitt.verify, "check_theorem41", broken)
+        with pytest.raises(TypeError, match="a fault in the checks"):
+            evaluate_params(ReesParams(2, 2, 1, 1, (2, 1)))
+
     def test_exponent_above_the_cap_is_skipped_not_fatal(self):
         grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(2, 2, 1, 1, (2**32, 1))]
         reports = run_grid(grid)
