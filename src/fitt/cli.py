@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from .polyring import (
 from .properties import DEFAULT_SEED, properties_ok, run_properties
 from .rees import (
     ReesParams,
+    _parse_int,
     chart_presentation,
     micali_kernel,
     rees_presentation,
@@ -139,7 +139,7 @@ def _algebra(args) -> PresentedAlgebra:
 
 def _params_from_args(args) -> ReesParams:
     try:
-        v = tuple(int(x) for x in args.v.split(","))
+        v = tuple(map(_parse_int, args.v.split(",")))
     except ValueError:
         raise UsageError(f"--v: expected comma-separated integers, got {args.v!r}") from None
     return ReesParams(args.p, args.n, args.s, args.l, v)
@@ -304,7 +304,7 @@ def _cmd_verify_image(args) -> _Result:
 def _cmd_verify_nonnormal(args) -> _Result:
     probe = nonnormality_probe(args.p, 4, 3, 4)
     verdict = probe.nonnormal
-    payload = {**asdict(probe), "nonnormal": verdict, "status": "pass" if verdict else "fail"}
+    payload = {**probe._asdict(), "nonnormal": verdict, "status": "pass" if verdict else "fail"}
     return payload, f"non-normal: {_bool(verdict)}\n", 0 if verdict else 1
 
 

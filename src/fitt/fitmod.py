@@ -13,9 +13,8 @@ and wrapped as a Polynomial once; a 1 x 1 minor is the matrix entry itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .groebner import Ideal
 from .polyring import Coeff, Monomial, PolyRing, Polynomial, RingMismatchError, add_terms
@@ -23,18 +22,16 @@ from .polyring import Coeff, Monomial, PolyRing, Polynomial, RingMismatchError, 
 Matrix = tuple[tuple[Polynomial, ...], ...]
 
 
-@dataclass(frozen=True)
-class PresentedAlgebra:
+class PresentedAlgebra(NamedTuple("PresentedAlgebra", [("ring", PolyRing), ("relations", Ideal)])):
     """A quotient ring: ambient polynomial ring modulo the relation ideal."""
 
-    ring: PolyRing
-    relations: Ideal
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.relations.ring != self.ring:
-            raise RingMismatchError(
-                f"relations live in {self.relations.ring}, algebra in {self.ring}"
-            )
+    def __new__(cls, ring: PolyRing, relations: Ideal) -> "PresentedAlgebra":
+        if relations.ring != ring:
+            raise RingMismatchError(f"relations live in {relations.ring}, algebra in {ring}")
+        return super().__new__(cls, ring, relations)
 
 
 def _check_matrix(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> None:
@@ -48,18 +45,19 @@ def _check_matrix(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> Non
                 raise RingMismatchError(f"matrix entry in {entry.ring}, expected {ring}")
 
 
-@dataclass(frozen=True)
-class PresentedModule:
+class PresentedModule(NamedTuple(
+    "PresentedModule", [("algebra", PresentedAlgebra), ("matrix", Matrix), ("row_labels", tuple[str, ...])]
+)):
     """Module presented by a matrix over the algebra's ambient ring."""
 
-    algebra: PresentedAlgebra
-    matrix: Matrix
-    row_labels: tuple[str, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        _check_matrix(self.matrix, self.algebra.ring)
-        if len(self.row_labels) != len(self.matrix):
+    def __new__(cls, algebra: PresentedAlgebra, matrix: Matrix, row_labels: tuple[str, ...]) -> "PresentedModule":
+        _check_matrix(matrix, algebra.ring)
+        if len(row_labels) != len(matrix):
             raise ValueError("one label per matrix row required")
+        return super().__new__(cls, algebra, matrix, row_labels)
 
     @property
     def generator_count(self) -> int:
@@ -72,6 +70,8 @@ class PresentedModule:
 
 def free_module(algebra: PresentedAlgebra, rank: int, labels: Optional[Sequence[str]] = None) -> PresentedModule:
     """Free module of the given rank: rank rows, no columns."""
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(rank))
     return PresentedModule(algebra, tuple(() for _ in range(rank)), tuple(labels))

@@ -8,11 +8,11 @@ products then follow Python's numeric tower, which is exact, and 3 and
 Fraction(3) compare, hash and print alike.  Everything is immutable after
 construction.
 
-Rings are hash-consed in the module table _RINGS: building a ring equal to
-one built before returns that same object, so ring equality is identity and
-costs no Python call.  The table is filled by dict.setdefault, so concurrent
-builders of one ring share one object, and it never evicts an entry; it grows
-with the number of distinct rings a process builds.
+Rings and fields are hash-consed in the module tables _RINGS and _FIELDS:
+building one equal to one built before returns that same object, so equality
+is identity and costs no Python call.  The tables are filled by setdefault,
+so concurrent builders share one object, and they never evict an entry; the
+ring table grows with the number of distinct rings a process builds.
 
 MonomialOrder.key_function builds each sort key once per (order, nvars), in a
 functools.cache table shared by every ring and by compare; concurrent fills
@@ -102,23 +102,47 @@ def _as_int(value: int) -> int:
     raise TypeError(f"a numerator or denominator must be an int, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+# Every field ever built, keyed by characteristic.
+_FIELDS: dict[int, "CoefficientField"] = {}
+
+
 class CoefficientField:
     """The rationals (characteristic 0) or a prime field F_p.
 
     Over Q every element it makes that is an integer is an int, and any other
-    a Fraction in lowest terms: int arithmetic is exact and much faster."""
+    a Fraction in lowest terms: int arithmetic is exact and much faster.
+    CoefficientField(p) returns the one field of _FIELDS for p, so equality
+    is identity; the characteristic must be an int, and a bool raises
+    TypeError."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        p = self.characteristic
-        if p == 0:
-            return
+    def __new__(cls, characteristic: int = 0) -> "CoefficientField":
+        p = characteristic
+        if not isinstance(p, int) or isinstance(p, bool):  # a bool is an int
+            raise TypeError(f"a characteristic must be an int, not {type(p).__name__}")
+        field = _FIELDS.get(p)
+        if field is not None:
+            return field
         if p >= MACHINE_WORD:
             raise ValueError(f"characteristic {p} does not fit a machine word")
-        if not is_prime(p):
+        if p and not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
+        field = object.__new__(cls)
+        object.__setattr__(field, "characteristic", int(p))
+        return _FIELDS.setdefault(p, field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoefficientField is immutable")
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
+
+    def __reduce__(self):
+        return CoefficientField, (self.characteristic,)
+
+    def __repr__(self) -> str:
+        return f"CoefficientField(characteristic={self.characteristic})"
 
     def normalize(self, value: Union[int, Fraction]) -> Coeff:
         """The field element of an int or a Fraction; any other type raises
@@ -168,6 +192,27 @@ class CoefficientField:
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"F_{self.characteristic}"
+
+
+class _SlotRecord:
+    """Base of the mutable records: the fields are the __slots__, equality
+    compares a record's class and fields, a record is unhashable, and it
+    pickles and copies through its constructor."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def field_inverse(a: Coeff, field: CoefficientField) -> Coeff:

@@ -17,8 +17,7 @@ instance stream with a digest.  Random.random is called as it is.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .fitmod import (
     PresentedAlgebra,
@@ -47,6 +46,7 @@ from .polyring import (
     Monomial,
     PolyRing,
     Polynomial,
+    _SlotRecord,
     mono_divides,
     mono_mul,
     parse_polynomial,
@@ -59,12 +59,12 @@ DEFAULT_SEED = 20240915
 _MAX_TRIALS = 400
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int = 0
-    failures: int = 0
-    notes: list[str] = field(default_factory=list)
+class SuiteResult(_SlotRecord):
+    __slots__ = ("name", "trials", "failures", "notes")
+
+    def __init__(self, name: str, trials: int = 0, failures: int = 0, notes: Optional[list[str]] = None) -> None:
+        self.name, self.trials, self.failures = name, trials, failures
+        self.notes = [] if notes is None else notes
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
         self.trials += 1

@@ -13,8 +13,8 @@ computed on request.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .fitmod import PresentedAlgebra
 from .groebner import Ideal, _lead_variables, saturate
@@ -27,8 +27,15 @@ class ReesParamsError(ValueError):
     """Parameter tuple violates an invariant; the message names it."""
 
 
-@dataclass(frozen=True)
-class ReesParams:
+def _parse_int(text: str) -> int:
+    """An optional '-' and a run of ASCII digits, as an integer in polynomial text."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
+class ReesParams(NamedTuple):
     """Shape (p, n, s, l, v): ideal (x_s^{v_s}, ..., x_n^{v_n}) in n variables
     over F_p, with p | v_i for s <= i <= l and v_i = 1 for i > l."""
 
@@ -101,15 +108,12 @@ class ReesParams:
         if extra:
             raise ReesParamsError(f"unknown keys: {', '.join(sorted(extra))}")
         try:
-            v = tuple(int(x) for x in fields["v"].split(","))
-            params = cls(int(fields["p"]), int(fields["n"]), int(fields["s"]), int(fields["l"]), v)
+            return cls(*(_parse_int(fields[k]) for k in "pnsl"), tuple(map(_parse_int, fields["v"].split(","))))
         except ValueError as err:
             raise ReesParamsError(f"malformed integer in {text!r}") from err
-        return params
 
 
-@dataclass(frozen=True)
-class ChartAlgebra:
+class ChartAlgebra(NamedTuple):
     """Affine chart of the blow-up at the degree-one element x_r^{v_r}T:
     the degree-zero localization, presented in the x and U variables."""
 

@@ -49,8 +49,7 @@ import functools
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .groebner import (
     Ideal,
@@ -61,7 +60,7 @@ from .groebner import (
     ideal_member,
 )
 from .kaehler import kaehler_fitting
-from .polyring import CoefficientField, ExponentOverflowError, PolyRing, is_prime
+from .polyring import CoefficientField, ExponentOverflowError, PolyRing, _SlotRecord, is_prime
 from .rees import (
     ChartAlgebra,
     ReesParams,
@@ -106,8 +105,7 @@ def _ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
 
-@dataclass(frozen=True)
-class ChartCheck:
+class ChartCheck(NamedTuple):
     """One chart's verdict.  ms is the time that call spent on the chart,
     counting the build when that call builds it.  An image chart's equal
     means the contraction contains the center."""
@@ -117,19 +115,18 @@ class ChartCheck:
     ms: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_SlotRecord):
     """One verification row.  Booleans are tri-state: None means the check was
     not requested, and does not count against the status."""
 
-    params: ReesParams
-    policy: str
-    index_used: int
-    charts: list[ChartCheck] = field(default_factory=list)
-    micali_ok: Optional[bool] = None
-    corollary_ok: Optional[bool] = None
-    image_ok: Optional[bool] = None
-    reason: Optional[str] = None
+    __slots__ = ("params", "policy", "index_used", "charts", "micali_ok", "corollary_ok", "image_ok", "reason")
+
+    def __init__(self, params: ReesParams, policy: str, index_used: int, charts: Optional[list[ChartCheck]] = None,
+                 micali_ok: Optional[bool] = None, corollary_ok: Optional[bool] = None,
+                 image_ok: Optional[bool] = None, reason: Optional[str] = None) -> None:
+        self.params, self.policy, self.index_used = params, policy, index_used
+        self.charts = [] if charts is None else charts
+        self.micali_ok, self.corollary_ok, self.image_ok, self.reason = micali_ok, corollary_ok, image_ok, reason
 
     @property
     def status(self) -> str:
@@ -142,13 +139,7 @@ class VerificationReport:
 
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {
-            "params": {
-                "p": self.params.p,
-                "n": self.params.n,
-                "s": self.params.s,
-                "l": self.params.l,
-                "v": list(self.params.v),
-            },
+            "params": {**self.params._asdict(), "v": list(self.params.v)},
             "index_used": self.index_used,
             "policy": self.policy,
             "charts": [
@@ -276,8 +267,7 @@ def check_image_equals_center(params: ReesParams, policy: Policy = POLICY_CORREC
 # ---------------------------------------------------------------------------
 # Non-normality of the degree-zero localization (two p-divisible exponents)
 
-@dataclass(frozen=True)
-class NonnormalProbe:
+class NonnormalProbe(NamedTuple):
     p: int
     integral_witness: bool
     quotient_membership: bool

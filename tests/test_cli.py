@@ -97,6 +97,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("v", ["2_0,2,1", "+2,2,1", "\u0662,2,1", "2,2,", "2, 2,1"])
+    def test_exponents_are_ascii_digit_runs(self, v, capsys):
+        # int() would read 2_0 as 20 and check that other tuple
+        code, out = run_cli(["verify", "thm41", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", v])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: --v: expected comma-separated integers, got {v!r}\n"
+
+    def test_negative_exponent_reaches_validation(self, capsys):
+        code, _ = run_cli(["rees", "print", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,-2,1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: v_2=-2 must be at least 1\n"
+
     def test_parse_error_is_validation_error(self):
         code, _ = run_cli(["gb", "--field", "p=2", "--vars", "x", "--gens", "x +"])
         assert code == 2

@@ -194,6 +194,16 @@ class TestDirectSumFree:
     def test_rank_zero_unchanged(self, diag_ab):
         assert direct_sum_free(diag_ab, 0) is diag_ab
 
+    def test_negative_rank_is_refused(self, diag_ab):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            direct_sum_free(diag_ab, -1)
+
+    def test_free_module_refuses_a_negative_rank(self, rab):
+        algebra = PresentedAlgebra(rab, Ideal(rab))
+        assert free_module(algebra, 0).generator_count == 0
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            free_module(algebra, -1)
+
     def test_two_frees_make_rank_two(self, rab):
         algebra = PresentedAlgebra(rab, Ideal(rab))
         M = direct_sum_free(free_module(algebra, 1), 1)

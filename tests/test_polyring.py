@@ -51,6 +51,22 @@ class TestCoefficientField:
         with pytest.raises(ValueError):
             CoefficientField(2**63 + 9)
 
+    @pytest.mark.parametrize(
+        "characteristic, type_name",
+        [(2.0, "float"), (0.0, "float"), (False, "bool"), (True, "bool"), ("2", "str"), (None, "NoneType")],
+    )
+    def test_characteristic_must_be_an_int(self, characteristic, type_name):
+        # a float or a bool would otherwise alias F_2 or Q in the field table
+        with pytest.raises(TypeError, match=f"a characteristic must be an int, not {type_name}$"):
+            CoefficientField(characteristic)
+
+    def test_refused_characteristics_store_nothing(self):
+        for bad in (2.0, False, 6, -3):
+            with pytest.raises((TypeError, ValueError)):
+                CoefficientField(bad)
+        assert CoefficientField(2) is F2 and str(F2) == "F_2"
+        assert CoefficientField() is QQ and str(QQ) == "QQ"
+
     def test_inverse_of_one_is_one(self):
         assert field_inverse(1, F5) == 1
 

@@ -35,6 +35,31 @@ class TestReesParams:
             ReesParams.parse("p=two n=3 s=1 l=2 v=2,2,1")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "p=2 n=3 s=1 l=2 v=2_0,2,1",  # int() reads 2_0 as 20
+            "p=+2 n=3 s=1 l=2 v=2,2,1",
+            "p=\u0662 n=3 s=1 l=2 v=2,2,1",  # ARABIC-INDIC DIGIT TWO
+            "p=2 n=3 s=1 l=2 v=2,\xb2,1",  # SUPERSCRIPT TWO
+            "p=2 n=3 s=1 l=2 v=2,,1",
+            "p=2 n=3 s=1 l=2 v=2,2,1,",
+            "p=- n=3 s=1 l=2 v=2,2,1",
+            "p=--2 n=3 s=1 l=2 v=2,2,1",
+            "p=2 n=3 s=1 l=2 v=2,-+2,1",
+        ],
+    )
+    def test_parse_reads_only_ascii_digit_runs(self, text):
+        with pytest.raises(ReesParamsError, match="malformed integer"):
+            ReesParams.parse(text)
+
+    def test_parse_passes_negative_values_to_validate(self):
+        params = ReesParams.parse("p=2 n=3 s=-1 l=2 v=2,2,1")
+        assert params == ReesParams(2, 3, -1, 2, (2, 2, 1))
+        with pytest.raises(ReesParamsError, match="s=-1 must be at least 1"):
+            params.validate()
+        assert ReesParams.parse("p=2 n=3 s=1 l=2 v=2,-2,1").v == (2, -2, 1)
+
+    @pytest.mark.parametrize(
         "params,fragment",
         [
             (ReesParams(4, 2, 1, 1, (4, 1)), "not prime"),
