@@ -9,7 +9,8 @@ Every subcommand is a row of `_COMMANDS`: its path, help string, handler
 and arguments.  A handler takes the parsed arguments and returns
 `(json_payload, text, exit_code)`; `main` alone reads `--format`, writes
 either the indented JSON payload or the text to stdout, and maps library
-and file errors to exit code 2.
+and file errors to exit code 2.  Every integer flag, and the prime of
+--field p=..., is read by rees._parse_int, as grid files and --v are.
 
 Exit codes: 0 on success or a passing verification, 1 when a verification
 fails, 2 on usage or validation errors.  All output is deterministic for a
@@ -78,13 +79,22 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # Inputs
 
+def _int_flag(text: str) -> int:
+    """An integer flag, read as grid files and --v are: an optional '-' and
+    a run of ASCII digits."""
+    try:
+        return _parse_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _parse_field(spec: str) -> CoefficientField:
     spec = spec.strip().lower()
     if spec == "rationals":
         return CoefficientField(0)
     if spec.startswith("p="):
         try:
-            p = int(spec[2:])
+            p = _parse_int(spec[2:])
         except ValueError:
             raise UsageError(f"--field: bad prime in {spec!r}") from None
         try:
@@ -367,15 +377,15 @@ _GENS = _RING + (
 )
 _RELATIONS = _RING + (_opt("--relations", default="", help="relation ideal of the algebra"),)
 _PARAMS = (
-    _opt("--p", type=int, required=True, help="prime characteristic"),
-    _opt("--n", type=int, required=True, help="number of x variables"),
-    _opt("--s", type=int, required=True, help="first generator index"),
-    _opt("--l", type=int, required=True, help="last p-divisible index"),
+    _opt("--p", type=_int_flag, required=True, help="prime characteristic"),
+    _opt("--n", type=_int_flag, required=True, help="number of x variables"),
+    _opt("--s", type=_int_flag, required=True, help="first generator index"),
+    _opt("--l", type=_int_flag, required=True, help="last p-divisible index"),
     _opt("--v", required=True, help="comma-separated exponents v_s..v_n"),
 )
 _POLICY = (
     _opt("--policy", choices=(POLICY_PAPER, POLICY_CORRECTED), default=POLICY_CORRECTED),
-    _opt("--index", type=int, help="explicit Fitting index (overrides --policy)"),
+    _opt("--index", type=_int_flag, help="explicit Fitting index (overrides --policy)"),
     _opt("--no-timing", action="store_true", help="zero per-chart millisecond timings"),
 )
 _FORMAT = _opt("--format", choices=("text", "json"), default="text")
@@ -394,26 +404,26 @@ _COMMANDS = (
      _GENS + (_opt("--block", required=True, help="comma-separated variables to eliminate"),)),
     (("fitting",), "Fitting ideal of a presented module", _cmd_fitting, _RELATIONS + (
         _opt("--matrix", required=True, help="rows separated by ';', entries by ','"),
-        _opt("--index", type=int, required=True),
+        _opt("--index", type=_int_flag, required=True),
     )),
     (("kaehler",), "differentials: presentation or Fitting ideal", _cmd_kaehler, _RELATIONS + (
-        _opt("--index", type=int, help="when given, print Fitt_index instead of the matrix"),
+        _opt("--index", type=_int_flag, help="when given, print Fitt_index instead of the matrix"),
     )),
     (("rees",), "Rees ring constructions", None, ()),
     (("rees", "print"), None, _cmd_rees_print, _PARAMS),
     (("rees", "chart"), None, _cmd_rees_chart,
-     _PARAMS + (_opt("--r", type=int, required=True, help="chart index"),)),
+     _PARAMS + (_opt("--r", type=_int_flag, required=True, help="chart index"),)),
     (("rees", "micali"), None, _cmd_rees_micali, _PARAMS),
     (("verify",), "machine checks of the computational claims", None, ()),
     (("verify", "thm41"), None, _cmd_verify_thm41, _PARAMS + _POLICY),
     (("verify", "cor42"), None, _cmd_verify_cor42, _PARAMS + _POLICY),
     (("verify", "image"), None, _cmd_verify_image, _PARAMS + _POLICY),
-    (("verify", "nonnormal"), None, _cmd_verify_nonnormal, (_opt("--p", type=int, required=True),)),
+    (("verify", "nonnormal"), None, _cmd_verify_nonnormal, (_opt("--p", type=_int_flag, required=True),)),
     (("verify", "grid"), None, _cmd_verify_grid, (
         _opt("--file", required=True, help="grid file: one parameter tuple per line"),
-        _opt("--workers", type=int, default=os.cpu_count() or 1),
+        _opt("--workers", type=_int_flag, default=os.cpu_count() or 1),
     ) + _POLICY),
-    (("verify", "props"), None, _cmd_verify_props, (_opt("--seed", type=int, default=DEFAULT_SEED),)),
+    (("verify", "props"), None, _cmd_verify_props, (_opt("--seed", type=_int_flag, default=DEFAULT_SEED),)),
 )
 
 

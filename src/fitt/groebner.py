@@ -8,14 +8,18 @@ order), and saturations per (ideal, element).  Determinism comes from the
 normal selection strategy with index tie-breaks and from the uniqueness of
 the reduced basis, which also decides equality.  The strategy runs on a heap
 of pairs ranked (deg lcm, i, j): each rank and lcm is computed once, when
-the pair is formed.
+the pair is formed, and a pair whose leading monomials are coprime is never
+queued (Buchberger's first criterion).
 
 Known answers skip the work: Buchberger stops with (1) as soon as a
 generator or a reduced S-polynomial is a nonzero constant; everything is a
 member of an ideal whose basis is (1); equal generator tuples are equal; and
 saturating at a single term none of whose variables occurs in a leading
 monomial of the ideal's grevlex basis returns the ideal, since such a term
-is a nonzerodivisor modulo it (docs/chart_fitting.md).
+is a nonzerodivisor modulo it (docs/chart_fitting.md).  Most bases arrive
+already reduced (chart relations, exchange binomials, eliminations), so the
+final interreduction reduces only an element with a tail term that another
+kept leading monomial divides.
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -151,16 +155,20 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     """Reduced Groebner basis: monic, pairwise interreduced, sorted ascending
     by leading monomial.  Normal selection strategy (minimal lcm total degree,
     ties by index pair), kept as a heap-ordered pair queue ranked
-    (deg lcm, i, j); Buchberger's coprimality and chain criteria.  A
-    generator or reduced S-polynomial that is a nonzero constant ends the
-    run at once with (1), the reduced basis of the unit ideal under every
-    order."""
+    (deg lcm, i, j); Buchberger's coprimality and chain criteria.  A pair
+    with coprime leading monomials is dropped when it is formed, never
+    queued, and counts as treated for the chain criterion.  A generator or
+    reduced S-polynomial that is a nonzero constant ends the run at once
+    with (1), the reduced basis of the unit ideal under every order.  The
+    final interreduction skips an element none of whose tail terms a kept
+    leading monomial divides: it is already monic and reduced."""
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
     # queue holds one (deg lcm, i, j, lcm) entry per pair in pending; (i, j)
     # is unique, so the lcm rides along without ever being compared.  The set
-    # answers the chain criterion's "still pending?" question
+    # answers the chain criterion's "still pending?" question; a coprime pair
+    # never enters either, so it counts as treated
     queue: list[tuple[int, int, int, Monomial]] = []
     pending: set[tuple[int, int]] = set()
 
@@ -171,6 +179,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         lt = f.leading_term(order)[0]
         lts.append(lt)
         for i in range(j):
+            if mono_coprime(lts[i], lt):
+                continue
             lcm = mono_lcm(lts[i], lt)
             heapq.heappush(queue, (mono_degree(lcm), i, j, lcm))
             pending.add((i, j))
@@ -184,8 +194,6 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
-        if mono_coprime(lts[i], lts[j]):
-            continue
         skip = False
         for k in range(len(G)):
             if k == i or k == j:
@@ -211,11 +219,15 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         if not any(mono_divides(lts[k], lts[i]) for k in kept):
             kept.append(i)
     minimal = [G[i] for i in kept]
-    # interreduce tails
+    kept_lts = [lts[i] for i in kept]
+    # interreduce tails; an element's own leading term divides none of its
+    # tail terms, which are smaller, so testing every kept one is safe
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(reduce(g, others, order).monic(order))
+        lt = kept_lts[i]
+        if any(mono_divides(d, m) for m in g.terms if m != lt for d in kept_lts):
+            g = reduce(g, minimal[:i] + minimal[i + 1:], order).monic(order)
+        reduced.append(g)
     # still ascending: no kept leading term divides another, so reduce keeps each one
     return tuple(reduced)
 
@@ -305,7 +317,8 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     leading monomial of I's reduced grevlex basis, g is a nonzerodivisor
     modulo I, so the saturation is I itself, returned with that basis as its
     generators (see docs/chart_fitting.md).  Otherwise adjoin a fresh
-    variable w, form I + (w*g - 1), and contract back to the ring of I.
+    variable w, form I + (w*g - 1), and contract back to the ring of I; when
+    the certificate was tried, I enters through the basis it just read.
     Either way the generators are the reduced grevlex basis, which is
     unique, so the route leaves no trace in the result.  The result is
     cached on I per g, so each saturation of an ideal is computed once; the
@@ -320,6 +333,7 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     cached = I._sat.get(g)
     if cached is not None:
         return cached
+    basis = I.generators
     if len(g.terms) == 1:
         basis = I.groebner_basis()
         if _lead_variables(basis).isdisjoint(idx for m in g.terms for idx, _ in m):
@@ -328,7 +342,7 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     aux = ring.fresh_name("w")
     ext = ring.extended([aux])
     w = ext.variable(aux)
-    gens = [h.transport(ext) for h in I.generators]
+    gens = [h.transport(ext) for h in basis]
     gens.append(w * g.transport(ext) - ext.one())
     sat = contract(Ideal(ext, gens), ring)
     I._sat[g] = sat

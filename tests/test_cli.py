@@ -104,6 +104,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: --v: expected comma-separated integers, got {v!r}\n"
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--p", ["rees", "print", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1"]),
+        ("--n", ["rees", "print", "--p", "2", "--s", "1", "--l", "2", "--v", "2,2,1"]),
+        ("--l", ["rees", "print", "--p", "2", "--n", "3", "--s", "1", "--v", "2,2,1"]),
+        ("--r", ["rees", "chart", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1"]),
+        ("--index", ["verify", "thm41", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,2,1"]),
+        ("--seed", ["verify", "props"]),
+        ("--workers", ["verify", "grid", "--file", "grids/default.txt"]),
+    ])
+    @pytest.mark.parametrize("value", ["+2", "2_0", "٣"])
+    def test_integer_flags_are_ascii_digit_runs(self, capsys, flag, argv, value):
+        # int() would read +2 as 2, 2_0 as 20 and the Arabic-Indic three as 3
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: malformed integer {value!r}" in err
+
+    @pytest.mark.parametrize("prime", ["+2", "2_0", "٢"])
+    def test_field_prime_is_an_ascii_digit_run(self, capsys, prime):
+        code, out = run_cli(["gb", "--field", f"p={prime}", "--vars", "x", "--gens", "x^2 + 1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: --field: bad prime in {'p=' + prime!r}\n"
+
     def test_negative_exponent_reaches_validation(self, capsys):
         code, _ = run_cli(["rees", "print", "--p", "2", "--n", "3", "--s", "1", "--l", "2", "--v", "2,-2,1"])
         assert code == 2

@@ -390,6 +390,49 @@ def test_pairs_come_out_by_lcm_degree_then_index(monkeypatch):
     assert [print_polynomial(g) for g in basis] == ["y*z", "x*z", "x*y", "x^3"]
 
 
+class TestWorkSkipped:
+    """A pair with coprime leading monomials is never queued, and an element
+    that is already reduced skips the final interreduction."""
+
+    def test_coprime_leading_monomials_form_no_pair(self, monkeypatch):
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        gens = [ring.parse(t) for t in ("x^2 - y", "y^3 - z", "z^2 + x")]
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        basis = buchberger(ring, gens, GREVLEX)
+        assert spolys == [] and reduces == []
+        assert [print_polynomial(g) for g in basis] == ["z^2 + x", "x^2 - y", "y^3 - z"]
+
+    @pytest.mark.parametrize("order_name", ["grevlex", "lex"])
+    def test_a_reduced_basis_comes_back_without_interreduction(self, monkeypatch, order_name):
+        order = UNIT_ORDERS[order_name]
+        ring = PolyRing(CoefficientField(7), ("a", "b", "c", "d"))
+        basis = buchberger(ring, [ring.parse(t) for t in CYCLIC4], order)
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        assert buchberger(ring, basis, order) == basis
+        # every reduce is an S-pair reduction, and every one goes to zero
+        assert spolys and len(reduces) == len(spolys)
+        assert all(reduce(*args).is_zero for args in reduces)
+
+    def test_a_reducible_tail_is_still_reduced(self, rxy, monkeypatch):
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        basis = buchberger(rxy, [rxy.parse("x^2 - y"), rxy.parse("y - 1")], GREVLEX)
+        assert [print_polynomial(g) for g in basis] == ["y - 1", "x^2 - 1"]
+        assert spolys == [] and [args[0] for args in reduces] == [rxy.parse("x^2 - y")]
+
+    def test_a_coprime_pair_counts_as_treated_by_the_chain_criterion(self, monkeypatch):
+        # g0 = x*y, g1 = y*z, g2 = z.  (0,2) is coprime and never queued;
+        # (1,2) is reduced first (degree 2); then (0,1) falls to the chain
+        # criterion through g2, since z divides x*y*z and neither (0,2) nor
+        # (1,2) is pending
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        formed, basis = _record_spairs(monkeypatch, ring, ("x*y", "y*z", "z"), GREVLEX)
+        assert formed == [("y*z", "z")]
+        assert [print_polynomial(g) for g in basis] == ["z", "x*y"]
+
+
 # ---------------------------------------------------------------------------
 # Differential check against sympy (test-only dependency)
 
