@@ -16,10 +16,12 @@ generator or a reduced S-polynomial is a nonzero constant; everything is a
 member of an ideal whose basis is (1); equal generator tuples are equal; and
 saturating at a single term none of whose variables occurs in a leading
 monomial of the ideal's grevlex basis returns the ideal, since such a term
-is a nonzerodivisor modulo it (docs/chart_fitting.md).  Most bases arrive
-already reduced (chart relations, exchange binomials, eliminations), so the
-final interreduction reduces only an element with a tail term that another
-kept leading monomial divides.
+is a nonzerodivisor modulo it (docs/chart_fitting.md).  A basis known in
+closed form, such as that of the exchange binomials (see rees), is cached
+through _cache_basis and never computed.  Most other bases arrive already
+reduced (chart relations, eliminations), so the final interreduction
+reduces only an element with a tail term that another kept leading
+monomial divides.
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -281,14 +283,21 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     return _with_grevlex_basis(ring, kept)
 
 
+def _cache_basis(ideal: Ideal, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Ideal:
+    """Store basis as ideal's reduced basis under order, and return ideal.
+    basis must be that basis, known without a run, and listed as buchberger
+    lists it: monic and ascending by leading monomial."""
+    ideal._gb[order] = tuple(basis)
+    return ideal
+
+
 def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal of ring generated by basis, a reduced grevlex basis listed
     ascending, with that basis cached.  contract may pass elements of a
     larger ring; they are carried over by their terms."""
     gens = [g if g.ring == ring else Polynomial(ring, g.terms) for g in basis]
     ideal = Ideal(ring, gens)
-    ideal._gb[GREVLEX] = ideal.generators
-    return ideal
+    return _cache_basis(ideal, ideal.generators)
 
 
 def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:

@@ -7,7 +7,9 @@ underlying constructions work for any monomial complete intersection
 (x_{i1}^{e1}, ..., x_{ik}^{ek}), which the non-normality probe needs; the
 parameter type is a validated wrapper around that general machinery.  Chart
 relations are the closed-form binomials, unreduced; their reduced basis is
-computed on request.
+computed on request.  The Rees relations J, the exchange binomials, are
+their own reduced Groebner basis, cached in closed form, so the Micali
+check runs no Buchberger on J.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, _lead_variables, saturate
-from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
+from .groebner import Ideal, _cache_basis, saturate
+from .polyring import EXPONENT_CAP, GREVLEX, CoefficientField, PolyRing, is_prime
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
 
@@ -138,11 +140,16 @@ def _check_powers(n: int, powers: Powers) -> None:
 
 def ci_rees_presentation(field: CoefficientField, n: int, powers: Powers) -> PresentedAlgebra:
     """Rees ring of (x_i^{e_i} : (i, e_i) in powers): T_i stands for x_i^{e_i}T,
-    relations are the exchange binomials x_i^{e_i}*T_j - x_j^{e_j}*T_i.  The
-    ambient ring has x_1..x_n and then one T_i per generator.  The most
-    recent presentation is memoized, so a row's Micali kernel and its
-    comparison share one relation ideal and its cached basis; powers may be
-    given as lists."""
+    relations are the exchange binomials x_i^{e_i}*T_j - x_j^{e_j}*T_i, in
+    pair order and unreduced.  The ambient ring has x_1..x_n and then one
+    T_i per generator.  The relation ideal J comes with its reduced grevlex
+    basis cached, in closed form: the binomials, each made monic, ascending
+    by leading monomial.  They are the 2x2 minors of the matrix with rows
+    (x_i^{e_i}) and (T_i), whose minors are a universal Groebner basis, and
+    no binomial's leading term divides a term of another, so no Buchberger
+    run is needed (docs/chart_fitting.md).  The most recent presentation is
+    memoized, so a row's Micali kernel and its comparison share one J;
+    powers may be given as lists."""
     return _rees_presentation(field, n, tuple((i, e) for i, e in powers))
 
 
@@ -153,8 +160,10 @@ def _rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Prese
     names.extend(f"T{i}" for i, _ in powers)
     ring = PolyRing(field, names)
     factors = [(ring.variable(f"x{i}") ** e, ring.variable(f"T{i}")) for i, e in powers]
-    gens = [xi * tj - xj * ti for (xi, ti), (xj, tj) in combinations(factors, 2)]
-    return PresentedAlgebra(ring, Ideal(ring, gens))
+    relations = Ideal(ring, [xi * tj - xj * ti for (xi, ti), (xj, tj) in combinations(factors, 2)])
+    key = ring.sort_key(GREVLEX)
+    basis = sorted((g.monic() for g in relations.generators), key=lambda g: key(g.leading_term()[0]))
+    return PresentedAlgebra(ring, _cache_basis(relations, basis))
 
 
 def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:
@@ -206,18 +215,17 @@ def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:
     for the exchange-binomial ideal J and any generator index v: J presents
     Sym(I) (a regular sequence has only Koszul syzygies), Sym(I) and the
     Rees ring agree once x_v^{e_v} is inverted, and the Rees ring is a
-    domain (docs/chart_fitting.md).  v is the first generator index whose
-    x_v occurs in no leading monomial of J's reduced grevlex basis, so that
-    saturate certifies J : x_v^infinity = J from that basis; when there is
-    none, v is the first generator index and saturate computes.  Micali's
-    theorem says this kernel equals J."""
+    domain (docs/chart_fitting.md).  v is the first listed generator of
+    least exponent: x_v occurs in no leading monomial of J's reduced grevlex
+    basis (docs/chart_fitting.md), so saturate certifies J : x_v^infinity = J
+    from that basis, which ci_rees_presentation caches in closed form.  So
+    this check runs no Buchberger.  Micali's theorem says this kernel
+    equals J."""
     relations = ci_rees_presentation(field, n, powers).relations
     if not powers:
         return relations
-    ring = relations.ring
-    lead = _lead_variables(relations.groebner_basis())
-    v = next((i for i, _ in powers if ring.index(f"x{i}") not in lead), powers[0][0])
-    return saturate(relations, ring.variable(f"x{v}"))
+    v = min(powers, key=lambda power: power[1])[0]
+    return saturate(relations, relations.ring.variable(f"x{v}"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Parameter tuples shared by the oracle tests: the shipped default grid,
-read from grids/default.txt, and the shipped stretch grid of larger tuples,
-read from grids/stretch.txt.  Also the ring transport the oracles use to move
-an ideal they computed in a larger ring into the ring they compare in."""
+read from grids/default.txt, the shipped stretch grid of larger tuples,
+read from grids/stretch.txt, and the large grid, grids/large.txt.  Also the
+ring transport the oracles use to move an ideal they computed in a larger
+ring into the ring they compare in."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fitt.rees import ReesParams
 GRID_DIR = Path(__file__).resolve().parent.parent / "grids"
 GRID_FILE = GRID_DIR / "default.txt"
 STRETCH_FILE = GRID_DIR / "stretch.txt"
+LARGE_FILE = GRID_DIR / "large.txt"
 
 
 def read_grid(path: Path) -> list[ReesParams]:

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import fitt.rees
 from fitt import groebner
 from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member
-from fitt.polyring import EXPONENT_CAP, CoefficientField, PolyRing
+from fitt.polyring import EXPONENT_CAP, GREVLEX, LEX, CoefficientField, MonomialOrder, PolyRing
 from fitt.rees import (
     ReesParams,
     ReesParamsError,
@@ -18,7 +20,9 @@ from fitt.rees import (
     target_ideal,
 )
 
-from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
+from fitt.verify import check_theorem41
+
+from grid_cases import LARGE_FILE, STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
 
 
 class TestReesParams:
@@ -431,6 +435,66 @@ def test_micali_kernel_is_certified_without_elimination(params, monkeypatch):
     relations = rees_presentation(params).relations
     assert calls == []
     assert kernel.generators == relations.groebner_basis()
+
+
+def _monic_ascending(polys, order):
+    """polys made monic and listed as buchberger lists a reduced basis."""
+    key = polys[0].ring.sort_key(order)
+    return tuple(sorted((g.monic(order) for g in polys), key=lambda g: key(g.leading_term(order)[0])))
+
+
+class TestExchangeBinomialBasis:
+    """J's reduced grevlex basis is cached in closed form when J is built:
+    the exchange binomials, monic and ascending.  Buchberger is the oracle."""
+
+    @pytest.mark.parametrize(
+        "params",
+        shipped_grid() + read_grid(STRETCH_FILE) + read_grid(LARGE_FILE),
+        ids=lambda p: p.flag_string(),
+    )
+    def test_closed_form_is_buchbergers_basis_on_the_grids(self, params):
+        relations = rees_presentation(params).relations
+        assert relations.groebner_basis() == groebner.buchberger(relations.ring, relations.generators, GREVLEX)
+
+    # k <= 6 generators, listed in a random index order, exponents 1..9; a
+    # random block order as well as grevlex and lex, since the binomials are
+    # a universal Groebner basis: every order's reduced basis is the
+    # binomials themselves, monic and sorted under that order
+    @pytest.mark.parametrize("characteristic", [2, 3, 5, 7, 0], ids=lambda c: f"char{c}")
+    def test_binomials_are_the_reduced_basis_under_every_order(self, characteristic):
+        rng = random.Random(3000 + characteristic)
+        field = CoefficientField(characteristic)
+        for _ in range(50):
+            k = rng.randint(2, 6)
+            n = k + rng.randint(0, 2)
+            powers = tuple((i, rng.randint(1, 9)) for i in rng.sample(range(1, n + 1), k))
+            relations = ci_rees_presentation(field, n, powers).relations
+            ring, gens = relations.ring, relations.generators
+            assert len(gens) == k * (k - 1) // 2
+            block = MonomialOrder.elimination(rng.sample(range(ring.nvars), rng.randint(1, ring.nvars - 1)))
+            for order in (GREVLEX, LEX, block):
+                assert groebner.buchberger(ring, gens, order) == _monic_ascending(gens, order), (powers, order)
+            assert relations.groebner_basis() == _monic_ascending(gens, GREVLEX)
+
+
+@pytest.mark.parametrize(
+    "params", shipped_grid() + read_grid(STRETCH_FILE), ids=lambda p: p.flag_string()
+)
+def test_micali_check_runs_no_buchberger_in_the_rees_ring(params, monkeypatch):
+    """check_theorem41 and micali_kernel read J's closed-form basis: no
+    Buchberger run in J's ring.  Chart rings may run it."""
+    fitt.rees._rees_presentation.cache_clear()
+    rings = []
+    real = groebner.buchberger
+
+    def recording(ring, *args):
+        rings.append(ring)
+        return real(ring, *args)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    check_theorem41(params)
+    micali_kernel(params)
+    assert rees_presentation(params).ring not in rings
 
 
 def test_ambient_counts():

@@ -37,7 +37,7 @@ from fitt.verify import (
     run_grid,
 )
 
-from grid_cases import STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
+from grid_cases import LARGE_FILE, STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
 
 POLICIES = ["corrected", "paper"] + list(range(-1, 11))
 
@@ -611,7 +611,7 @@ def test_stretch_grid_file_passes():
 
 
 def test_large_grid_file_shape():
-    grid = read_grid(STRETCH_FILE.parent / "large.txt")
+    grid = read_grid(LARGE_FILE)
     assert [(params.p, params.n, params.s, params.l) for params in grid] == [
         (2, 20, 1, 1),
         (2, 24, 1, 1),
