@@ -283,11 +283,14 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     return _with_grevlex_basis(ring, kept)
 
 
-def _cache_basis(ideal: Ideal, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Ideal:
-    """Store basis as ideal's reduced basis under order, and return ideal.
-    basis must be that basis, known without a run, and listed as buchberger
-    lists it: monic and ascending by leading monomial."""
-    ideal._gb[order] = tuple(basis)
+def _cache_basis(ideal: Ideal, basis: Sequence[Polynomial]) -> Ideal:
+    """Cache basis as ideal's reduced grevlex basis, listed as buchberger
+    lists one: each element made monic, ascending by leading monomial; return
+    ideal.  The elements of basis, made monic, must be that reduced basis,
+    known without a run."""
+    key = ideal.ring.sort_key(GREVLEX)
+    monic = [g.monic() for g in basis]
+    ideal._gb[GREVLEX] = tuple(sorted(monic, key=lambda g: key(g.leading_term()[0])))
     return ideal
 
 
