@@ -174,8 +174,13 @@ def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: fro
     names = [f"x{i}" for i in range(1, n + 1) if i not in dropped]
     names.extend(f"U{i}" for i, _ in powers if i != r)
     ring = PolyRing(field, names)
-    xr = ring.variable(f"x{r}") ** exponents[r]
-    gens = [ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr for i, e in powers if i != r and i not in dropped]
+    xr = (ring.index(f"x{r}"), exponents[r])
+    gens = []
+    for i, e in powers:
+        if i != r and i not in dropped:
+            # x_i^{e_i} - U_i*x_r^{e_r} as a term map; x_r precedes U_i in the ring
+            xi, ui_xr = ((ring.index(f"x{i}"), e),), (xr, (ring.index(f"U{i}"), 1))
+            gens.append(ring.from_terms(((xi, 1), (ui_xr, -1))))
     return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
 
 

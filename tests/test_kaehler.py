@@ -1,10 +1,23 @@
+import random
+from fractions import Fraction
+from math import comb
+
 import pytest
 
-from fitt.fitmod import PresentedAlgebra
+from fitt import kaehler
+from fitt.fitmod import PresentedAlgebra, fitting_ideal
 from fitt.groebner import Ideal, ideal_equal
 from fitt.kaehler import kaehler_fitting, kaehler_presentation
-from fitt.polyring import CoefficientField, PolyRing
-from fitt.rees import ReesParams, rees_presentation
+from fitt.polyring import CoefficientField, PolyRing, mono_from_pairs
+from fitt.rees import (
+    ReesParams,
+    ci_chart_presentation,
+    ci_pruned_chart_presentation,
+    ci_rees_presentation,
+    rees_presentation,
+)
+
+from grid_cases import GRID_FILE, LARGE_FILE, STRETCH_FILE, read_grid
 
 QQ = CoefficientField(0)
 F2 = CoefficientField(2)
@@ -107,3 +120,141 @@ def test_rees_generator_count():
         assert pres.generator_count == 2 * n - s + 1
         k = n - s + 1
         assert pres.relation_count == k * (k - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# The one-pass Jacobian and the unit-ideal guard, against the slow routes:
+# one derivative call per entry, and fitting_ideal on the full presentation.
+
+
+def _random_algebra(rng, characteristic):
+    """Up to four relations in two to four variables, each of up to four
+    terms with exponents up to 2p (so p-divisible exponents occur), and
+    over Q halves and thirds among the coefficients, so that c*e is often
+    an integral Fraction."""
+    field = CoefficientField(characteristic)
+    ring = PolyRing(field, [f"y{v}" for v in range(rng.randint(2, 4))])
+    top = 2 * characteristic if characteristic else 4
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            mono = mono_from_pairs((v, rng.randint(0, top)) for v in range(ring.nvars))
+            if characteristic:
+                coeff = rng.randint(1, characteristic - 1)
+            else:
+                coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            pairs.append((mono, coeff))
+        gens.append(ring.from_terms(pairs))
+    return PresentedAlgebra(ring, Ideal(ring, gens))
+
+
+def _random_algebras():
+    for characteristic in (0, 2, 3, 5):
+        rng = random.Random(20261020 + characteristic)
+        for _ in range(25):
+            yield _random_algebra(rng, characteristic)
+
+
+def _grid_algebras(pruned_only):
+    """Every Rees presentation and chart of the three shipped grids; only
+    the pruned charts when pruned_only."""
+    for path in (GRID_FILE, STRETCH_FILE, LARGE_FILE):
+        for params in read_grid(path):
+            field, n, powers = params.field, params.n, params.powers()
+            if not pruned_only:
+                yield ci_rees_presentation(field, n, powers)
+            for r, _ in powers:
+                yield ci_pruned_chart_presentation(field, n, powers, r).algebra
+                if not pruned_only:
+                    yield ci_chart_presentation(field, n, powers, r).algebra
+
+
+def _assert_jacobian(algebra):
+    ring, gens = algebra.ring, algebra.relations.generators
+    matrix = kaehler_presentation(algebra).matrix
+    slow = tuple(tuple(g.derivative(v) for g in gens) for v in range(ring.nvars))
+    assert matrix == slow
+    for row, slow_row in zip(matrix, slow):
+        for entry, slow_entry in zip(row, slow_row):
+            # same terms in the same order, and the same coefficient types
+            assert list(entry.terms.items()) == list(slow_entry.terms.items())
+            assert [type(c) for c in entry.terms.values()] == [type(c) for c in slow_entry.terms.values()]
+            for c in entry.terms.values():
+                if ring.field.characteristic:
+                    assert type(c) is int and 0 < c < ring.field.characteristic
+                else:
+                    assert c != 0
+                    assert type(c) is int or c.denominator != 1, c
+
+
+class TestOnePassJacobian:
+    def test_random_algebras(self):
+        integral_fractions = 0
+        for algebra in _random_algebras():
+            _assert_jacobian(algebra)
+            if algebra.ring.field.characteristic == 0:
+                integral_fractions += sum(
+                    1
+                    for g in algebra.relations.generators
+                    for m, c in g.terms.items()
+                    for _, e in m
+                    if isinstance(c, Fraction) and (c * e).denominator == 1
+                )
+        # a bare c*e would have left an integral Fraction in these entries
+        assert integral_fractions > 0
+
+    def test_every_chart_and_rees_presentation_of_the_grids(self):
+        for algebra in _grid_algebras(pruned_only=False):
+            _assert_jacobian(algebra)
+
+    def test_zero_entries_and_empty_relations(self):
+        ring = PolyRing(F3, ("x", "y", "z"))
+        A = algebra(ring, "x^3*y + z", "y^6")
+        assert kaehler_presentation(A).matrix == (
+            (ring.zero(), ring.zero()),
+            (ring.parse("x^3"), ring.zero()),
+            (ring.one(), ring.zero()),
+        )
+        assert kaehler_presentation(algebra(ring)).matrix == ((), (), ())
+
+
+# A Fitting ideal whose index asks for more minors than this is left out of
+# the index sweep: Ideal drops repeated generators pairwise, so thousands of
+# minors cost seconds, and below nvars kaehler_fitting calls fitting_ideal
+# on the same presentation anyway.
+MINOR_BUDGET = 5000
+
+
+def _sweep(algebra):
+    m, k = algebra.ring.nvars, len(algebra.relations.generators)
+    for i in range(-1, m + 2):
+        if 0 <= m - i <= k and comb(m, m - i) * comb(k, m - i) > MINOR_BUDGET:
+            continue
+        yield i
+
+
+class TestUnitIdealGuard:
+    """kaehler_fitting returns the unit ideal for i >= nvars without building
+    the presentation; at every index it has fitting_ideal's generators."""
+
+    def _check(self, algebras, monkeypatch):
+        for A in algebras:
+            presentation = kaehler_presentation(A)
+            for i in _sweep(A):
+                assert kaehler_fitting(A, i).generators == fitting_ideal(presentation, i).generators, i
+        with monkeypatch.context() as patch:
+            patch.setattr(kaehler, "kaehler_presentation", self._refuse)
+            for A in algebras:
+                for i in range(A.ring.nvars, A.ring.nvars + 2):
+                    assert kaehler_fitting(A, i).generators == (A.ring.one(),)
+
+    @staticmethod
+    def _refuse(algebra):
+        raise AssertionError("the presentation was built for a unit Fitting ideal")
+
+    def test_random_algebras(self, monkeypatch):
+        self._check(list(_random_algebras()), monkeypatch)
+
+    def test_every_pruned_chart_of_the_grids(self, monkeypatch):
+        self._check(list(_grid_algebras(pruned_only=True)), monkeypatch)

@@ -22,7 +22,7 @@ from fitt.rees import (
 
 from fitt.verify import check_theorem41
 
-from grid_cases import LARGE_FILE, STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
+from grid_cases import GRID_FILE, LARGE_FILE, STRETCH_FILE, STRETCH_GRID, read_grid, shipped_grid, transport_ideal
 
 
 class TestReesParams:
@@ -355,6 +355,53 @@ class TestPrunedCharts:
     def test_bad_powers_are_refused(self):
         with pytest.raises(ReesParamsError, match="repeated generator index 2"):
             ci_pruned_chart_presentation(self.FIELD, 3, ((2, 2), (2, 1)), 2)
+
+
+
+def _reference_chart_relations(ring, powers, r, pruned):
+    """The chart binomials through ring arithmetic: x_i^{e_i} - U_i*x_r^{e_r}
+    for i != r, skipping e_i = 1 in the pruned chart."""
+    xr = ring.variable(f"x{r}") ** dict(powers)[r]
+    return [
+        ring.variable(f"x{i}") ** e - ring.variable(f"U{i}") * xr
+        for i, e in powers
+        if i != r and not (pruned and e == 1)
+    ]
+
+
+def _chart_sweep():
+    """Every shipped-grid tuple, then seeded monomial complete intersections
+    with n <= 7 over F_2, F_3, F_5 and F_7: a random set of generator
+    indices, exponents among 1, p, p^2 and 2..9."""
+    for path in (GRID_FILE, STRETCH_FILE, LARGE_FILE):
+        for params in read_grid(path):
+            yield params.field, params.n, params.powers()
+    rng = random.Random(20261020)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 8):
+            for _ in range(4):
+                indices = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                powers = tuple((i, rng.choice((1, 1, p, p * p, rng.randint(2, 9)))) for i in indices)
+                yield CoefficientField(p), n, powers
+
+
+def test_chart_relations_are_the_binomials_of_ring_arithmetic():
+    """Both chart builders, at every chart index, list the same relations as
+    the arithmetic reference: same order, same terms in the same order, and
+    every coefficient in [0, p)."""
+    cases = 0
+    for field, n, powers in _chart_sweep():
+        p = field.characteristic
+        for r, _ in powers:
+            for pruned, build in ((False, ci_chart_presentation), (True, ci_pruned_chart_presentation)):
+                chart = build(field, n, powers, r)
+                ring = chart.algebra.ring
+                got = chart.algebra.relations.generators
+                expected = _reference_chart_relations(ring, powers, r, pruned)
+                assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
+                assert all(type(c) is int and 0 <= c < p for g in got for c in g.terms.values())
+                cases += 1
+    assert cases > 1000
 
 
 def micali_kernel_by_elimination(field, n, powers):

@@ -268,6 +268,24 @@ class TestChartFittingClosedForm:
                 assert ideal_equal(kaehler_fitting(chart.algebra, index), expected), (r, index)
 
 
+
+@pytest.mark.parametrize(
+    "params",
+    shipped_grid() + read_grid(STRETCH_FILE) + read_grid(LARGE_FILE),
+    ids=lambda params: params.flag_string(),
+)
+def test_chart_variable_count_on_every_corrected_row(params):
+    """A pruned chart r <= l keeps x_s..x_l among the generator x's, every
+    non-generator x and the n - s U's: n + l - s variables, exactly the
+    corrected chart index, so its Fitting ideal is the unit ideal by rank and
+    kaehler_fitting builds no Jacobian.  A chart r > l keeps x_r as well."""
+    index = chart_fitting_index(params, "corrected")
+    assert index == params.n + params.l - params.s
+    for r in range(params.s, params.n + 1):
+        chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+        assert chart.algebra.ring.nvars == (index if r <= params.l else index + 1), r
+
+
 class TestImageEqualsCenter:
     def test_plane_blowup_contraction(self):
         params = ReesParams(2, 2, 1, 1, (2, 1))
