@@ -6,11 +6,9 @@ relation generator f contributes the column of partial derivatives df.  In
 characteristic p the derivative rule kills p-divisible exponents, which is
 what drives all the interesting Fitting ideals downstream.
 
-The matrix is built in one pass over each relation's terms, so its cost
-grows with the number of terms, not with nvars times the number of
-relations.  Fitt_i for i >= nvars is the unit ideal by the rank rule (the
-matrix has one row per variable), and kaehler_fitting returns it without
-building the matrix: a pruned chart with r <= l asks for exactly that index
+Fitt_i for i >= nvars is the unit ideal by the rank rule (the matrix has one
+row per variable), and kaehler_fitting returns it without building the
+matrix: a pruned chart with r <= l asks for exactly that index
 (docs/chart_fitting.md).
 """
 
@@ -18,32 +16,15 @@ from __future__ import annotations
 
 from .fitmod import PresentedAlgebra, PresentedModule, fitting_ideal
 from .groebner import Ideal
-from .polyring import Coeff, Monomial, Polynomial
 
 
 def kaehler_presentation(algebra: PresentedAlgebra) -> PresentedModule:
     """Presentation of the differentials: one row d(var) per ambient variable,
-    one column per relation generator, entry (v, f) = df/dv.  A term c*m of
-    relation j in which x_v has exponent e, e not divisible by p, adds
-    c*e * m/x_v to entry (v, j); m -> m/x_v is one-to-one on those terms, so
-    nothing accumulates, and every entry no term reaches is zero."""
+    one column per relation generator, entry (v, f) = df/dv."""
     ring = algebra.ring
-    field = ring.field
-    p = field.characteristic
     gens = algebra.relations.generators
-    entries: dict[tuple[int, int], dict[Monomial, Coeff]] = {}
-    for j, g in enumerate(gens):
-        for m, c in g.terms.items():
-            for t, (v, e) in enumerate(m):
-                if p and not e % p:
-                    continue
-                rest = m[t + 1:]
-                q = m[:t] + rest if e == 1 else m[:t] + ((v, e - 1),) + rest
-                entries.setdefault((v, j), {})[q] = field.normalize(c * e)
-    zero = ring.zero()
     matrix = tuple(
-        tuple(Polynomial(ring, entries[v, j]) if (v, j) in entries else zero for j in range(len(gens)))
-        for v in range(ring.nvars)
+        tuple(g.derivative(v) for g in gens) for v in range(ring.nvars)
     )
     labels = tuple(f"d{name}" for name in ring.variables)
     return PresentedModule(algebra, matrix, labels)

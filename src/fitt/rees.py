@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .fitmod import PresentedAlgebra
 from .groebner import Ideal, _cache_basis, saturate
-from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime
+from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime, mono_from_pairs
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
 
@@ -175,12 +175,14 @@ def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: fro
     names.extend(f"U{i}" for i, _ in powers if i != r)
     ring = PolyRing(field, names)
     xr = (ring.index(f"x{r}"), exponents[r])
-    gens = []
-    for i, e in powers:
-        if i != r and i not in dropped:
-            # x_i^{e_i} - U_i*x_r^{e_r} as a term map; x_r precedes U_i in the ring
-            xi, ui_xr = ((ring.index(f"x{i}"), e),), (xr, (ring.index(f"U{i}"), 1))
-            gens.append(ring.from_terms(((xi, 1), (ui_xr, -1))))
+    gens = [
+        ring.from_terms((
+            (mono_from_pairs(((ring.index(f"x{i}"), e),)), 1),
+            (mono_from_pairs((xr, (ring.index(f"U{i}"), 1))), -1),
+        ))
+        for i, e in powers
+        if i != r and i not in dropped
+    ]
     return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
 
 

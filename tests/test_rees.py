@@ -5,7 +5,7 @@ import pytest
 import fitt.rees
 from fitt import groebner
 from fitt.groebner import Ideal, eliminate, ideal_equal, ideal_member
-from fitt.polyring import EXPONENT_CAP, GREVLEX, LEX, CoefficientField, MonomialOrder, PolyRing
+from fitt.polyring import EXPONENT_CAP, GREVLEX, LEX, CoefficientField, ExponentOverflowError, MonomialOrder, PolyRing
 from fitt.rees import (
     ReesParams,
     ReesParamsError,
@@ -402,6 +402,19 @@ def test_chart_relations_are_the_binomials_of_ring_arithmetic():
                 assert all(type(c) is int and 0 <= c < p for g in got for c in g.terms.values())
                 cases += 1
     assert cases > 1000
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("build", [ci_chart_presentation, ci_pruned_chart_presentation])
+def test_chart_exponent_over_the_cap_raises_as_rees_does(build, r):
+    """An exponent above EXPONENT_CAP raises ExponentOverflowError in both
+    chart builders, whether it sits on x_r or on another generator, as it
+    does in the Rees presentation."""
+    field, powers = CoefficientField(2), ((1, EXPONENT_CAP + 1), (2, 2))
+    with pytest.raises(ExponentOverflowError):
+        ci_rees_presentation(field, 2, powers)
+    with pytest.raises(ExponentOverflowError):
+        build(field, 2, powers, r)
 
 
 def micali_kernel_by_elimination(field, n, powers):
