@@ -13,8 +13,9 @@ and wrapped as a Polynomial once; a 1 x 1 minor is the matrix entry itself.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .groebner import Ideal
 from .polyring import Coeff, Monomial, PolyRing, Polynomial, RingMismatchError, add_terms
@@ -22,7 +23,7 @@ from .polyring import Coeff, Monomial, PolyRing, Polynomial, RingMismatchError, 
 Matrix = tuple[tuple[Polynomial, ...], ...]
 
 
-class PresentedAlgebra(NamedTuple("PresentedAlgebra", [("ring", PolyRing), ("relations", Ideal)])):
+class PresentedAlgebra(namedtuple("PresentedAlgebra", "ring relations")):
     """A quotient ring: ambient polynomial ring modulo the relation ideal."""
 
     __slots__ = ()
@@ -45,9 +46,7 @@ def _check_matrix(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> Non
                 raise RingMismatchError(f"matrix entry in {entry.ring}, expected {ring}")
 
 
-class PresentedModule(NamedTuple(
-    "PresentedModule", [("algebra", PresentedAlgebra), ("matrix", Matrix), ("row_labels", tuple[str, ...])]
-)):
+class PresentedModule(namedtuple("PresentedModule", "algebra matrix row_labels")):
     """Module presented by a matrix over the algebra's ambient ring."""
 
     __slots__ = ()

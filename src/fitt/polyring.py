@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -348,26 +347,38 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
 # Monomial orders
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """A multiplicative well-order on monomials (1 minimal).
 
     kind is "lex" (earlier variables larger), "grevlex", or "block": the
     elimination block is compared first (lex among the block variables), ties
-    broken by grevlex on the remaining variables.
+    broken by grevlex on the remaining variables.  Orders are immutable,
+    equal when kind and block are, and hashed as (kind, block).
     """
 
-    kind: str
-    block: frozenset[int] = field(default_factory=frozenset)
-    # the hash of (kind, block), taken once: every key_function lookup hashes
-    # the order, and the generated __hash__ would rebuild and hash that tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    # _hash is taken once: every key_function lookup hashes the order
+    __slots__ = ("kind", "block", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.block)))
+    def __init__(self, kind: str, block: frozenset[int] = frozenset()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "_hash", hash((kind, block)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("MonomialOrder is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.block == other.block
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"MonomialOrder(kind={self.kind!r}, block={self.block!r})"
 
     def __reduce__(self):
         # rebuilt through the constructor, so the hash is taken again under
@@ -458,9 +469,8 @@ def add_terms(
 # Rings and polynomials
 
 # The tokens of polynomial text: an ASCII integer, a name, or any other single
-# non-space character.  finditer skips the whitespace between them, and a
-# variable name is valid exactly when it is one "name" token.
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<char>\S)")
+# non-space character; finditer skips whitespace.  re compiles it at first use.
+_TOKEN = r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<char>\S)"
 
 
 # Every ring ever built, keyed by (characteristic, variable names).
@@ -488,8 +498,8 @@ class PolyRing:
             raise ValueError("a ring needs at least one variable")
         seen = set()
         for name in names:
-            match = _TOKEN.fullmatch(name)
-            if match is None or match.lastgroup != "name":
+            # exactly the strings that are one "name" token of _TOKEN
+            if not (name.isascii() and name.isalnum() and name[:1].isalpha()):
                 raise ValueError(f"invalid variable name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
@@ -813,7 +823,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     coefficients are reduced into the field.  A ParseError carries the
     position in text where reading failed, len(text) if the input ended.
     """
-    tokens = [(m.start(), m.lastgroup, m.group()) for m in _TOKEN.finditer(text)]
+    tokens = [(m.start(), m.lastgroup, m.group()) for m in re.finditer(_TOKEN, text)]
     tokens.append((len(text), None, ""))
     fld = ring.field
     at = 0

@@ -15,8 +15,8 @@ check runs no Buchberger on J.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .fitmod import PresentedAlgebra
 from .groebner import Ideal, _cache_basis, saturate
@@ -37,15 +37,11 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-class ReesParams(NamedTuple):
+class ReesParams(namedtuple("ReesParams", "p n s l v")):
     """Shape (p, n, s, l, v): ideal (x_s^{v_s}, ..., x_n^{v_n}) in n variables
     over F_p, with p | v_i for s <= i <= l and v_i = 1 for i > l."""
 
-    p: int
-    n: int
-    s: int
-    l: int
-    v: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self) -> None:
         fields = [("p", self.p), ("n", self.n), ("s", self.s), ("l", self.l)] + [("v", vi) for vi in self.v]
@@ -115,12 +111,11 @@ class ReesParams(NamedTuple):
             raise ReesParamsError(f"malformed integer in {text!r}") from err
 
 
-class ChartAlgebra(NamedTuple):
+class ChartAlgebra(namedtuple("ChartAlgebra", "r algebra")):
     """Affine chart of the blow-up at the degree-one element x_r^{v_r}T:
     the degree-zero localization, presented in the x and U variables."""
 
-    r: int
-    algebra: PresentedAlgebra
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ import functools
 import itertools
 import os
 import time
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from collections import namedtuple
+from typing import Iterator, Optional, Sequence, Union
 
 from .groebner import (
     Ideal,
@@ -105,14 +106,12 @@ def _ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
 
-class ChartCheck(NamedTuple):
+class ChartCheck(namedtuple("ChartCheck", "r equal ms")):
     """One chart's verdict.  ms is the time that call spent on the chart,
     counting the build when that call builds it.  An image chart's equal
     means the contraction contains the center."""
 
-    r: int
-    equal: bool
-    ms: int
+    __slots__ = ()
 
 
 class VerificationReport(_SlotRecord):
@@ -267,11 +266,8 @@ def check_image_equals_center(params: ReesParams, policy: Policy = POLICY_CORREC
 # ---------------------------------------------------------------------------
 # Non-normality of the degree-zero localization (two p-divisible exponents)
 
-class NonnormalProbe(NamedTuple):
-    p: int
-    integral_witness: bool
-    quotient_membership: bool
-    sanity_control: bool
+class NonnormalProbe(namedtuple("NonnormalProbe", "p integral_witness quotient_membership sanity_control")):
+    __slots__ = ()
 
     @property
     def nonnormal(self) -> bool:

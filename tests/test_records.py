@@ -2,10 +2,10 @@
 immutability, pickling and copying, and validation.
 
 Every record is built without import-time code generation: the frozen ones
-are NamedTuples (tuples, so equal to and hashed as their field tuple), the
-mutable ones are __slots__ classes, and CoefficientField is interned like
-PolyRing.  The repr strings are pinned to what the records have always
-printed."""
+are subclasses of collections.namedtuple (tuples, so equal to and hashed as
+their field tuple), MonomialOrder and the mutable ones are __slots__ classes,
+and CoefficientField is interned like PolyRing.  The repr strings are pinned
+to what the records have always printed."""
 
 import copy
 import dataclasses
@@ -19,7 +19,7 @@ import pytest
 import fitt
 from fitt.fitmod import PresentedAlgebra, PresentedModule
 from fitt.groebner import Ideal
-from fitt.polyring import CoefficientField, MonomialOrder, PolyRing, RingMismatchError
+from fitt.polyring import GREVLEX, LEX, CoefficientField, MonomialOrder, PolyRing, RingMismatchError
 from fitt.properties import SuiteResult
 from fitt.rees import ChartAlgebra, ReesParams
 from fitt.verify import ChartCheck, NonnormalProbe, VerificationReport
@@ -83,6 +83,31 @@ class TestCoefficientField:
         field = CoefficientField(p)
         for other in _round_trips(field):
             assert other is field
+
+
+class TestMonomialOrder:
+    def test_construction_by_position_and_keyword(self):
+        order = MonomialOrder("block", frozenset({0, 2}))
+        assert order == MonomialOrder(kind="block", block=frozenset({2, 0})) == MonomialOrder.elimination([0, 2])
+        assert (order.kind, order.block) == ("block", frozenset({0, 2}))
+        assert MonomialOrder("grevlex") == GREVLEX and GREVLEX.block == frozenset()
+
+    def test_repr(self):
+        assert repr(MonomialOrder.elimination({0, 2})) == "MonomialOrder(kind='block', block=frozenset({0, 2}))"
+        assert repr(GREVLEX) == "MonomialOrder(kind='grevlex', block=frozenset())"
+
+    def test_equality_and_hash_are_those_of_kind_and_block(self):
+        assert hash(GREVLEX) == hash(("grevlex", frozenset()))
+        assert GREVLEX != LEX and GREVLEX != MonomialOrder("grevlex", frozenset({0}))
+        # an order is not a string or a tuple, even one that names it
+        assert GREVLEX != "grevlex" and GREVLEX != ("grevlex", frozenset())
+        assert GREVLEX.__eq__("grevlex") is NotImplemented
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({0, 2})], ids=["lex", "grevlex", "block"])
+    def test_pickle_and_copy_round_trips(self, order):
+        for other in _round_trips(order):
+            assert type(other) is MonomialOrder and other == order and hash(other) == hash(order)
+            assert other.key_function(3) is order.key_function(3)
 
 
 class TestReesParams:
@@ -326,9 +351,9 @@ def _fitt_classes():
                 yield cls
 
 
-def test_only_monomial_order_is_a_dataclass():
+def test_no_fitt_class_is_a_dataclass():
     """Dataclasses generate and compile their methods at every import; fitt's
     records are written out instead, so its cold start stays short."""
     classes = set(_fitt_classes())
     assert {ReesParams, VerificationReport, SuiteResult, CoefficientField, MonomialOrder} <= classes
-    assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == ["MonomialOrder"]
+    assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == []
