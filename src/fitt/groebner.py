@@ -50,6 +50,7 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    _Frozen,
     add_terms,
     mono_coprime,
     mono_degree,
@@ -59,7 +60,7 @@ from .polyring import (
 )
 
 
-class Ideal:
+class Ideal(_Frozen):
     """A finitely generated ideal with a per-order cache of reduced bases and
     a per-element cache of saturations."""
 
@@ -78,12 +79,6 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_gb", {})
         object.__setattr__(self, "_sat", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable (the GB and saturation caches fill write-once)")
-
-    def __reduce__(self):
-        return Ideal, (self.ring, self.generators)
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         gb = self._gb.get(order)

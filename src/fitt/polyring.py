@@ -6,7 +6,9 @@ Coefficients are Python ints reduced mod p.  Over Q, CoefficientField makes an
 integral value a plain int and any other a Fraction in lowest terms; sums and
 products then follow Python's numeric tower, which is exact, and 3 and
 Fraction(3) compare, hash and print alike.  Everything is immutable after
-construction.
+construction: one base, _Frozen, refuses assigning or deleting any attribute
+of a field, order, ring, polynomial or ideal, and its base _Fields pickles
+and copies every hand-written class of fitt through its constructor.
 
 Rings and fields are hash-consed in the module tables _RINGS and _FIELDS:
 building one equal to one built before returns that same object, so equality
@@ -101,11 +103,55 @@ def _as_int(value: int) -> int:
     raise TypeError(f"a numerator or denominator must be an int, not {type(value).__name__}")
 
 
+class _Fields:
+    """Base of fitt's hand-written classes.  The __slots__ without a leading
+    underscore are the constructor's arguments, in order; the others hold
+    what the constructor derives.  A value pickles and copies through its
+    constructor, so an interned field or ring comes back as the interned one
+    and a stored hash is taken again under the receiving process's hash
+    seed, and it prints as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Fields):
+    """Base of the values: assigning or deleting any attribute raises
+    AttributeError, so constructors store through object.__setattr__ or a
+    slot's own setter."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class _SlotRecord(_Fields):
+    """Base of the mutable records: equality compares a record's class and
+    fields, and a record is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+
 # Every field ever built, keyed by characteristic.
 _FIELDS: dict[int, "CoefficientField"] = {}
 
 
-class CoefficientField:
+class CoefficientField(_Frozen):
     """The rationals (characteristic 0) or a prime field F_p.
 
     Over Q every element it makes that is an integer is an int, and any other
@@ -131,17 +177,8 @@ class CoefficientField:
         object.__setattr__(field, "characteristic", int(p))
         return _FIELDS.setdefault(p, field)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientField is immutable")
-
     def __hash__(self) -> int:
         return hash((self.characteristic,))
-
-    def __reduce__(self):
-        return CoefficientField, (self.characteristic,)
-
-    def __repr__(self) -> str:
-        return f"CoefficientField(characteristic={self.characteristic})"
 
     def normalize(self, value: Union[int, Fraction]) -> Coeff:
         """The field element of an int or a Fraction; any other type raises
@@ -191,27 +228,6 @@ class CoefficientField:
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"F_{self.characteristic}"
-
-
-class _SlotRecord:
-    """Base of the mutable records: the fields are the __slots__, equality
-    compares a record's class and fields, a record is unhashable, and it
-    pickles and copies through its constructor."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 def field_inverse(a: Coeff, field: CoefficientField) -> Coeff:
@@ -347,7 +363,7 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
 # Monomial orders
 
 
-class MonomialOrder:
+class MonomialOrder(_Frozen):
     """A multiplicative well-order on monomials (1 minimal).
 
     kind is "lex" (earlier variables larger), "grevlex", or "block": the
@@ -364,11 +380,6 @@ class MonomialOrder:
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "_hash", hash((kind, block)))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("MonomialOrder is immutable")
-
-    __delattr__ = __setattr__
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -376,14 +387,6 @@ class MonomialOrder:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder(kind={self.kind!r}, block={self.block!r})"
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so the hash is taken again under
-        # the receiving process's hash seed
-        return MonomialOrder, (self.kind, self.block)
 
     @staticmethod
     def elimination(block: Iterable[int]) -> "MonomialOrder":
@@ -477,7 +480,7 @@ _TOKEN = r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<char>\S)"
 _RINGS: dict[tuple[int, tuple[str, ...]], "PolyRing"] = {}
 
 
-class PolyRing:
+class PolyRing(_Frozen):
     """A polynomial ring: a coefficient field plus an ordered variable list.
 
     PolyRing(field, variables) returns the one ring of _RINGS for that
@@ -510,12 +513,6 @@ class PolyRing:
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(ring, "_hash", hash((field, names)))
         return _RINGS.setdefault(key, ring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRing is immutable")
-
-    def __reduce__(self):
-        return PolyRing, (self.field, self.variables)
 
     @property
     def nvars(self) -> int:
@@ -583,7 +580,7 @@ class PolyRing:
         return parse_polynomial(text, self)
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Immutable sparse polynomial: a map from monomials to nonzero coefficients.
 
     The leading monomial of the last order asked for is memoized as
@@ -596,12 +593,6 @@ class Polynomial:
         _set_terms(self, terms)
         _set_hash(self, None)
         _set_lead(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial, (self.ring, dict(self.terms))
 
     @property
     def is_zero(self) -> bool:

@@ -3,9 +3,12 @@ immutability, pickling and copying, and validation.
 
 Every record is built without import-time code generation: the frozen ones
 are subclasses of collections.namedtuple (tuples, so equal to and hashed as
-their field tuple), MonomialOrder and the mutable ones are __slots__ classes,
-and CoefficientField is interned like PolyRing.  The repr strings are pinned
-to what the records have always printed."""
+their field tuple), and the others are __slots__ classes on one base,
+polyring._Fields, whose public slots are the constructor's arguments: it
+pickles and copies them through the constructor and prints those fields.
+Its subclass _Frozen refuses assigning and deleting on CoefficientField
+(interned like PolyRing), MonomialOrder, PolyRing, Polynomial and Ideal.
+The repr strings are pinned to what the records have always printed."""
 
 import copy
 import dataclasses
@@ -19,7 +22,18 @@ import pytest
 import fitt
 from fitt.fitmod import PresentedAlgebra, PresentedModule
 from fitt.groebner import Ideal
-from fitt.polyring import GREVLEX, LEX, CoefficientField, MonomialOrder, PolyRing, RingMismatchError
+from fitt.polyring import (
+    GREVLEX,
+    LEX,
+    CoefficientField,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    RingMismatchError,
+    _Fields,
+    _Frozen,
+    _SlotRecord,
+)
 from fitt.properties import SuiteResult
 from fitt.rees import ChartAlgebra, ReesParams
 from fitt.verify import ChartCheck, NonnormalProbe, VerificationReport
@@ -357,3 +371,66 @@ def test_no_fitt_class_is_a_dataclass():
     classes = set(_fitt_classes())
     assert {ReesParams, VerificationReport, SuiteResult, CoefficientField, MonomialOrder} <= classes
     assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == []
+
+
+def _fields_subclasses():
+    return {cls for cls in _fitt_classes() if issubclass(cls, _Fields)} - {_Fields, _Frozen, _SlotRecord}
+
+
+def test_the_public_slots_are_the_leading_constructor_parameters():
+    """_Fields rebuilds and prints a value from the slots without a leading
+    underscore, so they must be the constructor's arguments, in order."""
+    classes = _fields_subclasses()
+    assert {cls.__name__ for cls in classes} == {
+        "CoefficientField", "MonomialOrder", "PolyRing", "Polynomial", "Ideal", "VerificationReport", "SuiteResult",
+    }
+    for cls in classes:
+        public = [name for name in cls.__slots__ if name[0] != "_"]
+        assert list(inspect.signature(cls).parameters)[: len(public)] == public, cls
+
+
+F7 = CoefficientField(7)
+R7 = PolyRing(F7, ("x", "y"))
+VALUES = [
+    F7,
+    MonomialOrder.elimination({0, 2}),
+    R7,
+    R7.parse("x^2 - 3*y"),
+    Ideal(R7, [R7.parse("x^2"), R7.parse("x*y - 1")]),
+    VerificationReport(ReesParams(2, 2, 1, 1, (2, 1)), "corrected", 3, [ChartCheck(1, True, 0)], True),
+    SuiteResult("s", 2, 1, ["a"]),
+]
+
+
+def test_every_fields_subclass_has_a_value_here():
+    assert {type(value) for value in VALUES} == _fields_subclasses()
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_the_constructor_rebuilds_a_value_from_its_reduce(value):
+    cls, args = value.__reduce__()
+    rebuilt = cls(*args)
+    assert cls is type(value) and rebuilt.__reduce__() == (cls, args)
+    if cls is Ideal:  # an ideal equals only itself, so compare what rebuilds it
+        assert rebuilt.generators == value.generators and rebuilt.ring is value.ring
+    else:
+        assert rebuilt == value
+    if cls in (CoefficientField, PolyRing):
+        assert rebuilt is value
+
+
+@pytest.mark.parametrize(
+    "value", [value for value in VALUES if isinstance(value, _Frozen)], ids=lambda value: type(value).__name__
+)
+def test_a_value_refuses_deleting_any_attribute(value):
+    for name in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    # the interned field and ring, and everything built on them, still work
+    assert CoefficientField(7) is F7 and repr(F7) == "CoefficientField(characteristic=7)"
+    assert PolyRing(F7, ("x", "y")) is R7 and repr(R7) == "F_7[x,y]" and R7.index("y") == 1
+    f = R7.parse("x^2 - 3*y")
+    assert str(f * f) == "x^4 + x^2*y + 2*y^2" and f.leading_term() == (((0, 2),), 1)
+    assert Ideal(R7, [f]).is_unit() is False and hash(f) == hash(R7.parse("x^2 + 4*y"))
