@@ -15,13 +15,13 @@ Known answers skip the work: Buchberger stops with (1) as soon as a
 generator or a reduced S-polynomial is a nonzero constant; everything is a
 member of an ideal whose basis is (1); equal generator tuples are equal; and
 saturating at a single term none of whose variables occurs in a leading
-monomial of the ideal's grevlex basis returns the ideal, since such a term
-is a nonzerodivisor modulo it (docs/chart_fitting.md).  A basis known in
-closed form, such as that of the exchange binomials (see rees), is cached
-through _cache_basis and never computed.  Most other bases arrive already
-reduced (chart relations, eliminations), so the final interreduction
-reduces only an element with a tail term that another kept leading
-monomial divides.
+monomial of the ideal's grevlex basis, a nonzero constant included, returns
+the ideal, since such a term is a nonzerodivisor modulo it
+(docs/chart_fitting.md).  A basis known in closed form, such as that of the
+exchange binomials (see rees), is cached through _with_grevlex_basis and
+never computed.  Most other bases arrive already reduced (chart relations,
+eliminations), so the final interreduction reduces only an element with a
+tail term that another kept leading monomial divides.
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -29,8 +29,9 @@ it asks the field for inverses and leaves sums and zeros to that kernel.
 
 Leading terms are memoized per polynomial and order (see
 Polynomial.leading_term).  reduce computes a divisor's inverse only when
-that divisor divides.  An elimination, contraction, saturation or
-intersection arrives with its grevlex basis cached: by the Elimination
+that divisor divides.  Every ideal that eliminate, contract, saturate or
+ideal_intersect returns has its reduced grevlex basis as its generators,
+already cached, and each is built by _with_grevlex_basis: by the Elimination
 Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
 the block-free part of the reduced block-order basis, whose ties break by
 grevlex, is the reduced grevlex basis of the elimination ideal.  contract is
@@ -261,14 +262,13 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     """Generators of I intersected with the subring on the non-block variables,
-    via a block order with the block largest.  The result stays in the ambient
-    ring; its generators are free of block variables.  They are the block-free
-    elements of the reduced block-order basis, so by the Elimination Theorem
-    they are the reduced grevlex basis of the result, which is cached."""
+    via a block order with the block largest, which is grevlex for an empty
+    block.  The result stays in the ambient ring; its generators are the
+    block-free elements of the reduced block-order basis, so by the
+    Elimination Theorem they are the reduced grevlex basis of the result,
+    which is cached."""
     ring = I.ring
     indices = frozenset(ring.index(v) for v in block)
-    if not indices:
-        return Ideal(ring, I.generators)
     order = MonomialOrder.elimination(indices)
     kept = []
     for g in I.groebner_basis(order):
@@ -278,24 +278,19 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     return _with_grevlex_basis(ring, kept)
 
 
-def _cache_basis(ideal: Ideal, basis: Sequence[Polynomial]) -> Ideal:
-    """Cache basis as ideal's reduced grevlex basis, listed as buchberger
-    lists one: each element made monic, ascending by leading monomial; return
-    ideal.  The elements of basis, made monic, must be that reduced basis,
-    known without a run."""
-    key = ideal.ring.sort_key(GREVLEX)
-    monic = [g.monic() for g in basis]
-    ideal._gb[GREVLEX] = tuple(sorted(monic, key=lambda g: key(g.leading_term()[0])))
-    return ideal
-
-
 def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
-    """The ideal of ring generated by basis, a reduced grevlex basis listed
-    ascending, with that basis cached.  contract may pass elements of a
-    larger ring; they are carried over by their terms."""
+    """The ideal of ring generated by basis, with its reduced grevlex basis
+    cached as buchberger lists one: each element of basis made monic,
+    ascending by leading monomial.  Those must be that reduced basis, known
+    without a run; when basis already lists it, it is also the generators.
+    contract may pass elements of a larger ring; they are carried over by
+    their terms."""
     gens = [g if g.ring == ring else Polynomial(ring, g.terms) for g in basis]
     ideal = Ideal(ring, gens)
-    return _cache_basis(ideal, ideal.generators)
+    key = ring.sort_key(GREVLEX)
+    monic = [g.monic() for g in ideal.generators]
+    ideal._gb[GREVLEX] = tuple(sorted(monic, key=lambda g: key(g.leading_term()[0])))
+    return ideal
 
 
 def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:
@@ -308,14 +303,14 @@ def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:
 
 def contract(I: Ideal, ring: PolyRing) -> Ideal:
     """I intersected with ring, which must be I.ring's leading variables over
-    the same field.  The trailing block is eliminated; as it comes last, each
-    surviving index and the grevlex order mean the same in ring, so the
-    elimination's reduced grevlex basis is cached on the result."""
+    the same field.  The trailing block, empty when ring is I.ring, is
+    eliminated; as it comes last, each surviving index and the grevlex order
+    mean the same in ring, so the elimination's reduced grevlex basis is
+    cached on the result."""
     big = I.ring
     if ring.field != big.field or big.variables[:ring.nvars] != ring.variables:
         raise RingMismatchError(f"{ring} is not the leading variables of {big}")
-    block = range(ring.nvars, big.nvars)
-    basis = eliminate(I, block).generators if block else I.groebner_basis()
+    basis = eliminate(I, range(ring.nvars, big.nvars)).generators
     return _with_grevlex_basis(ring, basis)
 
 
@@ -323,7 +318,8 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g^infinity).  For a single-term g whose variables occur in no
     leading monomial of I's reduced grevlex basis, g is a nonzerodivisor
     modulo I, so the saturation is I itself, returned with that basis as its
-    generators (see docs/chart_fitting.md).  Otherwise adjoin a fresh
+    generators (see docs/chart_fitting.md); a nonzero constant has no
+    variables, so the certificate covers it.  Otherwise adjoin a fresh
     variable w, form I + (w*g - 1), and contract back to the ring of I; when
     the certificate was tried, I enters through the basis it just read.
     Either way the generators are the reduced grevlex basis, which is
@@ -335,8 +331,6 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
     if g.is_zero:
         raise ValueError("cannot saturate at 0")
-    if g.is_unit_constant():
-        return Ideal(ring, I.generators)
     cached = I._sat.get(g)
     if cached is not None:
         return cached

@@ -5,10 +5,13 @@ index and free of zero exponents, so they hash and compare at C speed.
 Coefficients are Python ints reduced mod p.  Over Q, CoefficientField makes an
 integral value a plain int and any other a Fraction in lowest terms; sums and
 products then follow Python's numeric tower, which is exact, and 3 and
-Fraction(3) compare, hash and print alike.  Everything is immutable after
-construction: one base, _Frozen, refuses assigning or deleting any attribute
-of a field, order, ring, polynomial or ideal, and its base _Fields pickles
-and copies every hand-written class of fitt through its constructor.
+Fraction(3) compare, hash and print alike.  One base, _Frozen, refuses
+assigning or deleting any attribute of a field, order, ring, polynomial or
+ideal, and its base _Fields pickles and copies every hand-written class of
+fitt through its constructor.  Polynomial.terms and an ideal's _gb and _sat
+caches are plain dicts, only treated as immutable: fitt never mutates one
+after construction, and callers must not (a changed terms map leaves a stale
+hash memo).  Every hot path reads them, so no read-only view wraps them.
 
 Rings and fields are hash-consed in the module tables _RINGS and _FIELDS:
 building one equal to one built before returns that same object, so equality
@@ -645,6 +648,8 @@ class Polynomial(_Frozen):
         return Polynomial(self.ring, out)
 
     def __pow__(self, e: int) -> "Polynomial":
+        if not isinstance(e, int):
+            raise TypeError(f"a polynomial power must be an int, not {type(e).__name__}")
         if e < 0:
             raise ValueError("negative polynomial power")
         if e and len(self.terms) == 1:

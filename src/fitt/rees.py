@@ -19,7 +19,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .fitmod import PresentedAlgebra
-from .groebner import Ideal, _cache_basis, saturate
+from .groebner import Ideal, _with_grevlex_basis, saturate
 from .polyring import EXPONENT_CAP, CoefficientField, PolyRing, is_prime, mono_from_pairs
 
 Powers = tuple[tuple[int, int], ...]  # ((x-index, exponent), ...), 1-based indices
@@ -155,8 +155,8 @@ def _rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Prese
     names.extend(f"T{i}" for i, _ in powers)
     ring = PolyRing(field, names)
     factors = [(ring.variable(f"x{i}") ** e, ring.variable(f"T{i}")) for i, e in powers]
-    relations = Ideal(ring, [xi * tj - xj * ti for (xi, ti), (xj, tj) in combinations(factors, 2)])
-    return PresentedAlgebra(ring, _cache_basis(relations, relations.generators))
+    binomials = [xi * tj - xj * ti for (xi, ti), (xj, tj) in combinations(factors, 2)]
+    return PresentedAlgebra(ring, _with_grevlex_basis(ring, binomials))
 
 
 def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:

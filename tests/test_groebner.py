@@ -148,9 +148,11 @@ class TestEliminate:
         got = eliminate(Ideal(rxy, [rxy.parse("y - x^2"), rxy.parse("x - 1")]), ["x"])
         assert ideal_equal(got, Ideal(rxy, [rxy.parse("y - 1")]))
 
-    def test_empty_block_keeps_the_generators(self, rxy):
+    def test_empty_block_gives_the_reduced_basis(self, rxy):
         I = Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")])
-        assert eliminate(I, []).generators == I.generators
+        got = eliminate(I, [])
+        assert got.generators == I.groebner_basis() != I.generators
+        assert got._gb[GREVLEX] == got.generators
 
     def test_result_free_of_block_variables(self, rxy):
         got = eliminate(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
@@ -605,6 +607,33 @@ def test_seeded_bases_match_fresh_buchberger(characteristic):
             _assert_seeded_basis_is_fresh(X)
             nontrivial += len(X.generators) > 1
     assert nontrivial >= 8  # not all zero, unit or principal
+
+
+# One route per operation: whichever way eliminate, contract, saturate or
+# ideal_intersect reaches its result, the result lists its reduced grevlex
+# basis as its generators, and that basis is cached before anyone asks.
+RESULT_ROUTES = {
+    "eliminate-empty-block": lambda I: eliminate(I, []),
+    "eliminate-block": lambda I: eliminate(I, ["x"]),
+    "contract-same-ring": lambda I: contract(I, I.ring),
+    "contract-smaller-ring": lambda I: contract(I, PolyRing(QQ, ("x",))),
+    "saturate-constant": lambda I: saturate(I, I.ring.constant(3)),
+    "saturate-certified-monomial": lambda I: saturate(I, I.ring.parse("z^2")),
+    "saturate-rabinowitsch": lambda I: saturate(I, I.ring.parse("x + z")),
+    "saturate-cached-repeat": lambda I: [saturate(I, I.ring.parse("x + z")) for _ in range(2)][1],
+    "ideal-intersect": lambda I: ideal_intersect(I, Ideal(I.ring, [I.ring.parse("2*z - 2*x")])),
+}
+
+
+@pytest.mark.parametrize("route", sorted(RESULT_ROUTES))
+def test_every_result_lists_its_cached_reduced_basis(route):
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    I = Ideal(ring, [ring.parse("2*x^2 - 2*y"), ring.parse("x*y - 1")])
+    assert I.groebner_basis() != I.generators  # the input is not reduced
+    X = RESULT_ROUTES[route](I)
+    assert GREVLEX in X._gb, X
+    assert X.generators, X  # no route yields the zero ideal here
+    assert X.generators == X.groebner_basis() == buchberger(X.ring, X.generators, GREVLEX), X
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,13 @@ class TestArithmetic:
             assert f**e == product, e
             product = product * f
 
+    @pytest.mark.parametrize("field, text", [(QQ, "x"), (QQ, "x + y"), (F5, "3*x")],
+                             ids=["Q-term", "Q-sum", "F5-term"])
+    def test_a_non_int_power_is_a_type_error(self, field, text):
+        f = PolyRing(field, ("x", "y")).parse(text)
+        with pytest.raises(TypeError, match="must be an int, not float"):
+            f ** 2.0
+
     def test_single_term_power_past_the_cap_raises(self):
         ring = PolyRing(F5, ("x", "y"))
         f = ring.parse(f"3*x^{2**30}*y")
