@@ -12,16 +12,17 @@ the pair is formed, and a pair whose leading monomials are coprime is never
 queued (Buchberger's first criterion).
 
 Known answers skip the work: Buchberger stops with (1) as soon as a
-generator or a reduced S-polynomial is a nonzero constant; everything is a
-member of an ideal whose basis is (1); equal generator tuples are equal; and
-saturating at a single term none of whose variables occurs in a leading
-monomial of the ideal's grevlex basis, a nonzero constant included, returns
-the ideal, since such a term is a nonzerodivisor modulo it
-(docs/chart_fitting.md).  A basis known in closed form, such as that of the
-exchange binomials (see rees), is cached through _with_grevlex_basis and
-never computed.  Most other bases arrive already reduced (chart relations,
-eliminations), so the final interreduction reduces only an element with a
-tail term that another kept leading monomial divides.
+generator or a reduced S-polynomial is a nonzero constant, and returns a
+zero or principal ideal's basis, () or the generator made monic, before any
+pair; everything is a member of an ideal whose basis is (1); equal generator
+tuples are equal; and saturating at a single term none of whose variables
+occurs in a leading monomial of the ideal's grevlex basis, a nonzero
+constant included, returns the ideal, since such a term is a nonzerodivisor
+modulo it (docs/chart_fitting.md).  A basis known in closed form, such as
+that of the exchange binomials (see rees), is cached through
+_with_grevlex_basis and never computed.  Most other bases arrive already
+reduced (chart relations, eliminations), so the final interreduction reduces
+only an element with a tail term that another kept leading monomial divides.
 
 Every coefficient sum, in reduce and s_polynomial alike, is made by
 polyring.add_terms, so this module never sees how coefficients are stored:
@@ -157,7 +158,9 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     with coprime leading monomials is dropped when it is formed, never
     queued, and counts as treated for the chain criterion.  A generator or
     reduced S-polynomial that is a nonzero constant ends the run at once
-    with (1), the reduced basis of the unit ideal under every order.  The
+    with (1), the reduced basis of the unit ideal under every order; at most
+    one nonzero generator returns at once, as () or that generator made
+    monic, the reduced basis of the zero or principal ideal.  The
     final interreduction skips an element none of whose tail terms a kept
     leading monomial divides: it is already monic and reduced."""
     key = ring.sort_key(order)
@@ -188,6 +191,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
             return (ring.one(),)
         if not g.is_zero:
             push(g)
+    if len(G) <= 1:
+        return tuple(G)
 
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)

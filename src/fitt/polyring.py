@@ -19,9 +19,12 @@ is identity and costs no Python call.  The tables are filled by setdefault,
 so concurrent builders share one object, and they never evict an entry; the
 ring table grows with the number of distinct rings a process builds.
 
-MonomialOrder.key_function builds each sort key once per (order, nvars), in a
-functools.cache table shared by every ring and by compare; concurrent fills
-are safe, since equal keys are equal functions, and no entry is evicted.
+MonomialOrder.key_function makes one key function per (order, nvars), kept
+by functools.cache and shared by every ring and by compare; it never evicts
+one.  That function is the lookup of a _KeyTable, which builds each
+monomial's key once and holds at most KEY_TABLE_CAP keys, emptying itself
+when full, so memory stays bounded on large rows.  Concurrent fills are
+safe: equal keys are equal values, and a clear only costs a rebuild.
 
 add_terms is the one place coefficient sums are made: every sum of term maps,
 here and in the Groebner layer, goes through it, so the field arithmetic and
@@ -36,6 +39,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 EXPONENT_CAP = 2**31 - 1
+# The most sort keys one (order, nvars) keeps (see _KeyTable); it bounds the
+# memory of large rows, which build thousands of keys.
+KEY_TABLE_CAP = 256
 MACHINE_WORD = 2**63
 
 Coeff = Union[int, Fraction]
@@ -397,7 +403,13 @@ class MonomialOrder(_Frozen):
 
     @functools.cache
     def key_function(self, nvars: int):
-        """Sort key builder, run once per (order, nvars); bigger key = bigger monomial."""
+        """The sort key of a monomial in nvars variables; bigger key = bigger
+        monomial.  Made once per (order, nvars): the bound lookup of a
+        _KeyTable, so a key already built costs one dict lookup in C."""
+        return _KeyTable(self._key_builder(nvars)).__getitem__
+
+    def _key_builder(self, nvars: int):
+        """A function that builds a monomial's sort key afresh."""
         if self.kind == "lex":
             def key(m: Monomial) -> tuple:
                 dense = [0] * nvars
@@ -435,6 +447,23 @@ class MonomialOrder(_Frozen):
         ka = self.key_function(nvars)
         x, y = ka(a), ka(b)
         return (x > y) - (x < y)
+
+
+class _KeyTable(dict):
+    """The sort keys of one (order, nvars), by monomial.  A missing key is
+    built and stored; a table that holds KEY_TABLE_CAP keys is emptied
+    first, so it never holds more."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, m: Monomial) -> tuple:
+        if len(self) >= KEY_TABLE_CAP:
+            self.clear()
+        key = self[m] = self.build(m)
+        return key
 
 
 GREVLEX = MonomialOrder("grevlex")

@@ -435,6 +435,36 @@ class TestWorkSkipped:
         assert [print_polynomial(g) for g in basis] == ["z", "x*y"]
 
 
+class TestPrincipalIdeals:
+    """The reduced basis of (g) is g made monic, and that of (0) is empty:
+    buchberger returns them before forming any pair."""
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({0, 2})], ids=["lex", "grevlex", "block"])
+    @pytest.mark.parametrize("characteristic", [0, 5])
+    def test_the_basis_is_the_generator_made_monic(self, monkeypatch, characteristic, order):
+        ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z", "w"))
+        rng = random.Random(4100 + characteristic)
+        reduces = _record_calls(monkeypatch, "reduce")
+        spolys = _record_calls(monkeypatch, "s_polynomial")
+        checked = 0
+        for _ in range(60):
+            g = _random_polynomial(rng, ring, 4)
+            if g.is_zero or g.is_unit_constant():
+                continue
+            gens = [ring.zero()] * rng.randint(0, 2) + [g] + [ring.zero()] * rng.randint(0, 2)
+            assert buchberger(ring, gens, order) == (g.monic(order),), g
+            assert Ideal(ring, [g]).groebner_basis(order) == (g.monic(order),), g
+            checked += 1
+        assert checked >= 40
+        assert reduces == [] and spolys == []
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({0})], ids=["lex", "grevlex", "block"])
+    def test_the_zero_ideal_has_the_empty_basis(self, rxy, order):
+        assert buchberger(rxy, [], order) == ()
+        assert buchberger(rxy, [rxy.zero(), rxy.zero()], order) == ()
+        assert Ideal(rxy, [rxy.zero()]).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # Differential check against sympy (test-only dependency)
 

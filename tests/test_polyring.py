@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import operator
 import os
@@ -17,6 +18,7 @@ import pytest
 from fitt.groebner import Ideal, eliminate, reduce
 from fitt.polyring import (
     GREVLEX,
+    KEY_TABLE_CAP,
     LEX,
     CoefficientField,
     ExponentOverflowError,
@@ -26,6 +28,7 @@ from fitt.polyring import (
     PolyRing,
     RingMismatchError,
     UnknownVariableError,
+    _KeyTable,
     field_inverse,
     mono_from_pairs,
     mono_mul,
@@ -362,6 +365,57 @@ class TestSortKeys:
         for _ in range(300):
             a, b = (mono_from_pairs((i, rng.randint(0, 3)) for i in range(4)) for _ in range(2))
             assert order.compare(a, b, 4) == (key(a) > key(b)) - (key(a) < key(b)), (a, b)
+
+
+def _random_monomial(rng, nvars):
+    # small exponents make ties common; large ones make more monomials than a
+    # key table holds
+    top = 2 if rng.random() < 0.5 else 1000
+    return mono_from_pairs((i, rng.randint(0, top)) for i in range(nvars))
+
+
+class TestKeyTable:
+    """key_function looks each key up in a table of at most KEY_TABLE_CAP keys
+    per (order, nvars), built by the order's key builder on a miss."""
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, MonomialOrder.elimination({0, 2})], ids=["lex", "grevlex", "block"])
+    def test_a_memoized_key_equals_a_fresh_one(self, order):
+        rng = random.Random(20240915)
+        for nvars in range(1, 7):
+            key, build = order.key_function(nvars), order._key_builder(nvars)
+            table = key.__self__
+            monomials = [_random_monomial(rng, nvars) for _ in range(3 * KEY_TABLE_CAP)]
+            emptied = 0
+            for m in monomials + monomials:
+                before = len(table)
+                assert key(m) == build(m), (nvars, m)
+                assert len(table) <= KEY_TABLE_CAP
+                emptied += len(table) < before
+            assert emptied, nvars
+            assert sorted(monomials, key=key) == sorted(monomials, key=build), nvars
+            for a, b in zip(monomials, reversed(monomials)):
+                assert (key(a) > key(b)) - (key(a) < key(b)) == (build(a) > build(b)) - (build(a) < build(b))
+                assert order.compare(a, b, nvars) == (build(a) > build(b)) - (build(a) < build(b))
+
+    def test_a_large_row_keeps_every_table_within_the_cap(self, monkeypatch):
+        from fitt.rees import ReesParams
+        from fitt.verify import evaluate_params
+
+        emptied = []
+        missing = _KeyTable.__missing__
+
+        def counted(table, m):
+            if len(table) >= KEY_TABLE_CAP:
+                emptied.append(table)
+            return missing(table, m)
+
+        monkeypatch.setattr(_KeyTable, "__missing__", counted)
+        # a small row first, so the memos of the most recent row hold another one
+        evaluate_params(ReesParams(2, 3, 1, 2, (2, 2, 1)))
+        assert evaluate_params(ReesParams(2, 24, 1, 1, (2,) + (1,) * 23)).status == "pass"
+        tables = [o for o in gc.get_objects() if type(o) is _KeyTable]
+        assert tables and max(map(len, tables)) <= KEY_TABLE_CAP
+        assert emptied
 
 
 class TestRingIndex:
