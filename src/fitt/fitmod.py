@@ -6,7 +6,8 @@ relations.  Fitting ideals are materialized as ambient ideals containing J, so
 all comparisons happen in one polynomial ring.
 
 minors expands along the first row (Eisenbud, Commutative Algebra, ch. 20),
-memoizing each sub-minor by its rows and columns.  Each k x k minor with
+memoizing each sub-minor by its rows and columns; the memo is freed when the
+call returns, not left in a reference cycle.  Each k x k minor with
 k >= 2 is summed into one term map with add_terms, entry term by entry term,
 and wrapped as a Polynomial once; a 1 x 1 minor is the matrix entry itself.
 """
@@ -120,6 +121,10 @@ def minors(matrix: Sequence[Sequence[Polynomial]], k: int, ring: Optional[PolyRi
     for rows in combinations(range(nrows), k):
         for cols in combinations(range(ncols), k):
             out.append(det(rows, cols))
+    # det reaches itself through its closure cell, a reference cycle that
+    # would keep the memo alive until the next garbage collection; emptying
+    # the cell frees it on return.
+    del det
     return out
 
 

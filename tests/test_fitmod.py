@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -69,6 +70,20 @@ class TestMinors:
             " + m02*m10*m21 - m02*m11*m20"
         )
         assert minors(matrix, 3) == [expected]
+
+    def test_leaves_no_reference_cycle(self):
+        # the recursive sub-minor closure once kept itself and its memo alive
+        # until the next garbage collection
+        ring = PolyRing(QQ, [f"m{i}{j}" for i in range(3) for j in range(3)])
+        matrix = tuple(tuple(ring.variable(f"m{i}{j}") for j in range(3)) for i in range(3))
+        gc.disable()
+        try:
+            gc.collect()
+            for k in (2, 3):
+                minors(matrix, k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("widths", [(1, 2), (2, 1)])
     def test_ragged_matrix_is_refused(self, rab, widths):
