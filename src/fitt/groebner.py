@@ -54,11 +54,12 @@ from .polyring import (
     RingMismatchError,
     _Frozen,
     add_terms,
-    mono_coprime,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_pairs,
+    mono_support,
 )
 
 
@@ -166,6 +167,8 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
+    # the support of each leading monomial (see mono_support)
+    sups: list[int] = []
     # queue holds one (deg lcm, i, j, lcm) entry per pair in pending; (i, j)
     # is unique, so the lcm rides along without ever being compared.  The set
     # answers the chain criterion's "still pending?" question; a coprime pair
@@ -178,9 +181,11 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         j = len(G)
         G.append(f)
         lt = f.leading_term(order)[0]
+        sup = mono_support(lt)
         lts.append(lt)
+        sups.append(sup)
         for i in range(j):
-            if mono_coprime(lts[i], lt):
+            if not sups[i] & sup:  # coprime
                 continue
             lcm = mono_lcm(lts[i], lt)
             heapq.heappush(queue, (mono_degree(lcm), i, j, lcm))
@@ -197,11 +202,12 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     while queue:
         _, i, j, lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
+        sup = sups[i] | sups[j]  # the support of lcm_ij
         skip = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if mono_divides(lts[k], lcm_ij):
+            if sups[k] | sup == sup and mono_divides(lts[k], lcm_ij):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -278,7 +284,7 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     kept = []
     for g in I.groebner_basis(order):
         lm, _ = g.leading_term(order)
-        if all(idx not in indices for idx, _ in lm):
+        if all(idx not in indices for idx, _ in mono_pairs(lm)):
             kept.append(g)
     return _with_grevlex_basis(ring, kept)
 
@@ -303,7 +309,7 @@ def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:
     of basis.  A variable outside this set is a nonzerodivisor modulo the
     ideal when basis is a Groebner basis of it: if x*f lies in the ideal for
     f in normal form, some leading monomial divides x*lm(f), hence lm(f)."""
-    return frozenset(idx for g in basis for idx, _ in g.leading_term(GREVLEX)[0])
+    return frozenset(idx for g in basis for idx, _ in mono_pairs(g.leading_term(GREVLEX)[0]))
 
 
 def contract(I: Ideal, ring: PolyRing) -> Ideal:
@@ -342,7 +348,7 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     basis = I.generators
     if len(g.terms) == 1:
         basis = I.groebner_basis()
-        if _lead_variables(basis).isdisjoint(idx for m in g.terms for idx, _ in m):
+        if _lead_variables(basis).isdisjoint(idx for m in g.terms for idx, _ in mono_pairs(m)):
             sat = I._sat[g] = _with_grevlex_basis(ring, basis)
             return sat
     aux = ring.fresh_name("w")

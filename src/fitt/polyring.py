@@ -1,7 +1,17 @@
 """Exact sparse multivariate polynomials over the rationals or a prime field.
 
-Monomials are canonical tuples of (variable-index, exponent) pairs, sorted by
-index and free of zero exponents, so they hash and compare at C speed.
+A monomial is an int: variable i's exponent is the 32-bit field at bit 32*i,
+whose top bit is a guard bit, clear in every monomial, since EXPONENT_CAP is
+2^31 - 1.  A product is a + b: two capped exponents sum below 2^32, so no
+field carries into the next, and one above the cap sets its guard bit.  A
+quotient is b - a, and a divides b exactly when b - a is not negative and
+has no guard bit set, as a field that borrows sets its own.  lcm and
+supports take a few operations on the module masks GUARDS and _VALUES,
+which cover the fields of every ring and every mono_from_pairs monomial made
+so far and widen when a wider one is made.  mono_from_pairs is the one
+constructor and mono_pairs the one reader of (index, exponent) pairs.  The
+order keys stay in tables (below): a key built from the int costs several
+big-int operations, and on a wide ring more than a table hit.
 Coefficients are Python ints reduced mod p.  Over Q, CoefficientField makes an
 integral value a plain int and any other a Fraction in lowest terms; sums and
 products then follow Python's numeric tower, which is exact, and 3 and
@@ -39,15 +49,21 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 EXPONENT_CAP = 2**31 - 1
+# Variable i's exponent is the field of FIELD_BITS bits at bit FIELD_BITS*i of
+# a monomial, whose top bit is the field's guard bit (see the module docstring).
+FIELD_BITS = 32
+_FIELD = 2**FIELD_BITS - 1
+# A divisor of 2^32 - 1 below 2^30, so CPython divides by it as one digit.
+_DEGREE_MODULUS = _FIELD // 5
 # The most sort keys one (order, nvars) keeps (see _KeyTable); it bounds the
 # memory of large rows, which build thousands of keys.
 KEY_TABLE_CAP = 256
 MACHINE_WORD = 2**63
 
 Coeff = Union[int, Fraction]
-Monomial = tuple[tuple[int, int], ...]
+Monomial = int
 
-ONE_MONOMIAL: Monomial = ()
+ONE_MONOMIAL: Monomial = 0
 
 
 class PolyError(Exception):
@@ -248,124 +264,114 @@ def field_inverse(a: Coeff, field: CoefficientField) -> Coeff:
 # Monomials
 
 
+def _guard_bits(nfields: int) -> int:
+    """The guard bits of the first nfields fields."""
+    return int.from_bytes(b"\0\0\0\x80" * nfields, "little")
+
+
+def _cover(n: int) -> None:
+    """Widen GUARDS, _VALUES and _LARGE_EXPONENTS to n fields."""
+    global _covered, GUARDS, _VALUES, _LARGE_EXPONENTS
+    guards = _guard_bits(n)
+    # below 2^k in each of n fields, a degree is below _DEGREE_MODULUS
+    k = max(0, (_DEGREE_MODULUS // n).bit_length() - 1)
+    _covered, GUARDS = n, guards
+    _VALUES = guards - (guards >> (FIELD_BITS - 1))
+    _LARGE_EXPONENTS = guards - (guards >> (FIELD_BITS - 1 - k))
+
+
+_covered = 0
+_cover(8)
+
+
+def _overflow(m: int):
+    """Raise the overflow of m, a sum with a guard bit set, naming the
+    exponent of its first overflowing variable."""
+    exp = next(e for _, e in mono_pairs(m) if e > EXPONENT_CAP)
+    raise ExponentOverflowError(f"exponent {exp} exceeds cap {EXPONENT_CAP}")
+
+
 def mono_from_pairs(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    """Canonicalize (index, exponent) pairs: sort, merge, drop zeros."""
+    """The monomial of (index, exponent) pairs, in any order; pairs of one
+    index add up, and zero exponents vanish."""
     acc: dict[int, int] = {}
     for idx, exp in pairs:
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for variable index {idx}")
+        if idx < 0:
+            raise ValueError(f"negative variable index {idx}")
         if exp:
             acc[idx] = acc.get(idx, 0) + exp
-    out = tuple(sorted(acc.items()))
-    for _, exp in out:
+    m = 0
+    for idx, exp in sorted(acc.items()):
         if exp > EXPONENT_CAP:
             raise ExponentOverflowError(f"exponent {exp} exceeds cap {EXPONENT_CAP}")
-    return out
+        m |= exp << (FIELD_BITS * idx)
+    if m >> (FIELD_BITS * _covered):
+        _cover(max(acc) + 1)
+    return m
+
+
+def mono_pairs(m: Monomial) -> list[tuple[int, int]]:
+    """The (index, exponent) pairs of m, ascending by index, zeros left out;
+    the inverse of mono_from_pairs."""
+    pairs = []
+    idx = 0
+    while m:
+        exp = m & _FIELD
+        if exp:
+            pairs.append((idx, exp))
+        m >>= FIELD_BITS
+        idx += 1
+    return pairs
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    """The total degree: a sum of fields is m mod 2^32 - 1, and so mod its
+    divisor _DEGREE_MODULUS, exact while it is below that; m has no large
+    exponent, so it is."""
+    if m & _LARGE_EXPONENTS:
+        return sum(e for _, e in mono_pairs(m))
+    return m % _DEGREE_MODULUS
 
 
 def mono_exponent(m: Monomial, var: int) -> int:
-    for idx, exp in m:
-        if idx == var:
-            return exp
-        if idx > var:
-            return 0
-    return 0
+    return m >> (FIELD_BITS * var) & _FIELD
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ai, ae = a[i]
-        bj, be = b[j]
-        if ai == bj:
-            e = ae + be
-            if e > EXPONENT_CAP:
-                raise ExponentOverflowError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
-            out.append((ai, e))
-            i += 1
-            j += 1
-        elif ai < bj:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    m = a + b
+    if m & GUARDS:
+        _overflow(m)
+    return m
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b."""
-    i = 0
-    for idx, exp in a:
-        while i < len(b) and b[i][0] < idx:
-            i += 1
-        if i == len(b) or b[i][0] != idx or b[i][1] < exp:
-            return False
-        i += 1
-    return True
+    """True when a | b: b - a borrows from no field.  A field that borrows
+    ends with its guard bit set, or, the top one, makes the difference
+    negative."""
+    d = b - a
+    return d >= 0 and not d & GUARDS
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """Quotient b / a; requires a | b."""
-    out = []
-    i = 0
-    for idx, exp in b:
-        if i < len(a) and a[i][0] == idx:
-            e = exp - a[i][1]
-            if e < 0:
-                raise ValueError("monomial does not divide")
-            if e:
-                out.append((idx, e))
-            i += 1
-        else:
-            out.append((idx, exp))
-    if i != len(a):
-        raise ValueError("monomial does not divide")
-    return tuple(out)
+    return b - a
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ai, ae = a[i]
-        bj, be = b[j]
-        if ai == bj:
-            out.append((ai, ae if ae >= be else be))
-            i += 1
-            j += 1
-        elif ai < bj:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    """Per field, a's exponent where it is at least b's, else b's: a guard
+    bit survives a field's (a_i + 2^31) - b_i exactly when a_i >= b_i."""
+    ge = ((a | GUARDS) - b) & GUARDS
+    return b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] == b[j][0]:
-            return False
-        if a[i][0] < b[j][0]:
-            i += 1
-        else:
-            j += 1
-    return True
+def mono_support(m: Monomial) -> int:
+    """The variables of m, as the guard bits of its nonzero fields: adding
+    2^31 - 1 to a field sets its guard bit exactly when the field is nonzero.
+    Monomials are coprime exactly when their supports share no bit, and a
+    divisor's support lies in that of its multiple."""
+    return (m + _VALUES) & GUARDS
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +417,40 @@ class MonomialOrder(_Frozen):
     def _key_builder(self, nvars: int):
         """A function that builds a monomial's sort key afresh."""
         if self.kind == "lex":
-            def key(m: Monomial) -> tuple:
-                dense = [0] * nvars
-                for idx, exp in m:
-                    dense[idx] = exp
-                return tuple(dense)
+            # the fields in reverse, so the first variable's is the top one
+            top = FIELD_BITS * (nvars - 1)
+            def key(m: Monomial) -> int:
+                k = 0
+                for idx, exp in mono_pairs(m):
+                    k |= exp << (top - FIELD_BITS * idx)
+                return k
             return key
         if self.kind == "grevlex":
-            def key(m: Monomial) -> tuple:
-                dense = [0] * nvars
-                deg = 0
-                for idx, exp in m:
-                    dense[idx] = -exp
-                    deg += exp
-                dense.reverse()
-                return (deg, tuple(dense))
+            # the degree first; on a tie the smaller m, compared from the
+            # last variable's field down, is the larger monomial
+            shift = FIELD_BITS * nvars
+            def key(m: Monomial) -> int:
+                return (mono_degree(m) << shift) - m
             return key
         if self.kind == "block":
-            blockvars = sorted(self.block)
-            pos = {v: i for i, v in enumerate(blockvars)}
+            # the block's fields, read from its first variable up and
+            # reversed as in the lex key
+            blockvars = sorted(self.block) or [0]
+            first, span = blockvars[0], blockvars[-1] - blockvars[0] + 1
+            top = FIELD_BITS * (len(blockvars) - 1)
+            pos = {v - first: top - FIELD_BITS * i for i, v in enumerate(blockvars)}
+            low = FIELD_BITS * first
+            fields = (1 << (FIELD_BITS * span)) - 1 if self.block else 0
             # on equal block exponents, grevlex on whole monomials orders as on
             # their non-block parts: both degrees shift alike, block entries tie
             grevlex = GREVLEX.key_function(nvars)
             def key(m: Monomial) -> tuple:
-                bdense = [0] * len(blockvars)
-                for idx, exp in m:
+                k = 0
+                for idx, exp in mono_pairs(m >> low & fields):
                     p = pos.get(idx)
                     if p is not None:
-                        bdense[p] = exp
-                return (tuple(bdense), grevlex(m))
+                        k |= exp << p
+                return (k, grevlex(m))
             return key
         raise ValueError(f"unknown order kind {self.kind!r}")
 
@@ -486,9 +497,12 @@ def add_terms(
     kept exact over Q, and a monomial whose sum is zero is removed from out."""
     p = field.characteristic
     get = out.get
+    guards = GUARDS
     for m, c in terms.items():
         if shift:
-            m = mono_mul(m, shift)
+            m += shift
+            if m & guards:
+                _overflow(m)
         v = get(m)
         v = a * c if v is None else v + a * c
         if p:
@@ -521,7 +535,9 @@ class PolyRing(_Frozen):
     stores nothing.  No entry is evicted, since dropping a live ring would
     break identity equality."""
 
-    __slots__ = ("field", "variables", "_index", "_hash")
+    # _outside: the bits no monomial of the ring sets; a negative int, so
+    # every bit above the ring's fields is one of them
+    __slots__ = ("field", "variables", "_index", "_hash", "_outside")
 
     def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
         names = tuple(variables)
@@ -544,6 +560,10 @@ class PolyRing(_Frozen):
         object.__setattr__(ring, "variables", names)
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(ring, "_hash", hash((field, names)))
+        width = FIELD_BITS * len(names)
+        object.__setattr__(ring, "_outside", _guard_bits(len(names)) - (1 << width))
+        if len(names) > _covered:
+            _cover(len(names))
         return _RINGS.setdefault(key, ring)
 
     @property
@@ -583,16 +603,21 @@ class PolyRing(_Frozen):
         return self.term(c, ONE_MONOMIAL)
 
     def variable(self, var: Union[str, int]) -> "Polynomial":
-        return Polynomial(self, {((self.index(var), 1),): self.field.normalize(1)})
+        return Polynomial(self, {1 << (FIELD_BITS * self.index(var)): self.field.normalize(1)})
 
     def term(self, coeff: Union[int, Fraction], mono: Monomial) -> "Polynomial":
+        if type(mono) is not int or mono & self._outside:
+            _refuse_monomial(mono, self)
         c = self.field.normalize(coeff)
         return Polynomial(self, {mono: c} if c else {})
 
     def from_terms(self, pairs: Iterable[tuple[Monomial, Union[int, Fraction]]]) -> "Polynomial":
         acc: dict[Monomial, Coeff] = {}
         f = self.field
+        outside = self._outside
         for mono, coeff in pairs:
+            if type(mono) is not int or mono & outside:
+                _refuse_monomial(mono, self)
             acc[mono] = acc.get(mono, 0) + f.normalize(coeff)
         # one normalization of each sum, which also drops the zeros
         return Polynomial(self, add_terms({}, 1, ONE_MONOMIAL, acc, f))
@@ -610,6 +635,16 @@ class PolyRing(_Frozen):
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
+
+
+def _refuse_monomial(m, ring: PolyRing):
+    """Raise why m, which sets a bit of ring._outside or is no int, is not a
+    monomial of ring."""
+    if type(m) is not int:
+        raise TypeError(f"a monomial is an int, not {type(m).__name__}; build one with mono_from_pairs")
+    if m < 0 or m >> (FIELD_BITS * ring.nvars):
+        raise ValueError(f"{m} is not a monomial in the {ring.nvars} variables of {ring}")
+    _overflow(m)
 
 
 class Polynomial(_Frozen):
@@ -685,7 +720,7 @@ class Polynomial(_Frozen):
             # a single term: (c*m)^e = c^e * m^e, with no repeated squaring
             ((m, c),) = self.terms.items()
             p = self.ring.field.characteristic
-            mono = mono_from_pairs((idx, exp * e) for idx, exp in m)
+            mono = mono_from_pairs((idx, exp * e) for idx, exp in mono_pairs(m))
             return Polynomial(self.ring, {mono: pow(c, e, p) if p else c**e})
         result = self.ring.one()
         base = self
@@ -728,7 +763,7 @@ class Polynomial(_Frozen):
         ring = self.ring
         idx = ring.index(var)
         fld = ring.field
-        x = ((idx, 1),)
+        x = 1 << (FIELD_BITS * idx)
         out: dict[Monomial, Coeff] = {}
         # m -> m/x is one-to-one on the terms kept, so nothing accumulates
         for m, c in self.terms.items():
@@ -736,7 +771,7 @@ class Polynomial(_Frozen):
             if e:
                 coeff = fld.normalize(c * e)
                 if coeff:
-                    out[mono_div(m, x)] = coeff
+                    out[m - x] = coeff
         return Polynomial(ring, out)
 
     def transport(self, target: PolyRing) -> "Polynomial":
@@ -746,17 +781,19 @@ class Polynomial(_Frozen):
         if target.field != self.ring.field:
             raise RingMismatchError(f"cannot transport between {self.ring.field} and {target.field}")
         names = self.ring.variables
-        remap = {}
+        if target.variables[:len(names)] == names:
+            # every variable keeps its index, so every monomial its int
+            return Polynomial(target, self.terms)
+        shifts = {}
         out: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            pairs = []
-            for idx, exp in m:
-                to = remap.get(idx)
-                if to is None:
-                    to = target.index(names[idx])
-                    remap[idx] = to
-                pairs.append((to, exp))
-            out[mono_from_pairs(pairs)] = c
+            moved = 0
+            for idx, exp in mono_pairs(m):
+                shift = shifts.get(idx)
+                if shift is None:
+                    shift = shifts[idx] = FIELD_BITS * target.index(names[idx])
+                moved |= exp << shift
+            out[moved] = c
         return Polynomial(target, out)
 
     def substitute(self, target: PolyRing, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -782,7 +819,7 @@ class Polynomial(_Frozen):
         result = target.zero()
         for m, c in self.terms.items():
             term = target.constant(c)
-            for idx, exp in m:
+            for idx, exp in mono_pairs(m):
                 term = term * image(idx) ** exp
             result = result + term
         return result
@@ -819,7 +856,7 @@ def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
             body = mag
         else:
             factors = []
-            for idx, exp in m:
+            for idx, exp in mono_pairs(m):
                 name = ring.variables[idx]
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             monom = "*".join(factors)

@@ -39,8 +39,10 @@ from .groebner import (
 )
 from .kaehler import kaehler_fitting
 from .polyring import (
+    FIELD_BITS,
     GREVLEX,
     LEX,
+    ONE_MONOMIAL,
     CoefficientField,
     MonomialOrder,
     Monomial,
@@ -49,6 +51,7 @@ from .polyring import (
     _SlotRecord,
     mono_divides,
     mono_mul,
+    mono_pairs,
     parse_polynomial,
     print_polynomial,
 )
@@ -114,19 +117,18 @@ def _rand_monomial(rng: random.Random, nvars: int, max_deg: int, min_deg: int = 
             f"no monomial in {nvars} variables has degree {min_deg}..{max_deg}"
         )
     while True:
-        pairs = []
+        mono = 0
         total = budget = min_deg + _below(rng, max_deg - min_deg + 1)
         for idx in range(nvars):
             if budget <= 0:
                 break
             e = _below(rng, budget + 1)
             if e:
-                pairs.append((idx, e))
+                # packed as mono_from_pairs packs it; e is at most max_deg
+                mono |= e << (FIELD_BITS * idx)
                 budget -= e
         if total - budget >= min_deg:
-            # indices ascend, exponents are positive and at most max_deg:
-            # already the canonical form mono_from_pairs would make
-            return tuple(pairs)
+            return mono
 
 
 def _rand_poly(
@@ -194,11 +196,11 @@ def _monomial_orders(rng: random.Random, k: int) -> Checks:
     b = _rand_monomial(rng, nvars, 5)
     c = _rand_monomial(rng, nvars, 5)
     cmp_ab = order.compare(a, b, nvars)
-    ok = order.compare((), a, nvars) <= 0
+    ok = order.compare(ONE_MONOMIAL, a, nvars) <= 0
     ok = ok and ((a == b) == (cmp_ab == 0))
     if cmp_ab < 0:
         ok = ok and order.compare(mono_mul(a, c), mono_mul(b, c), nvars) < 0
-    yield ok, lambda: f"order law broke for {a}, {b}, {c} under {order.kind}"
+    yield ok, lambda: f"order law broke for {mono_pairs(a)}, {mono_pairs(b)}, {mono_pairs(c)} under {order.kind}"
 
 
 def _parser_roundtrip(rng: random.Random, k: int) -> Checks:

@@ -15,7 +15,7 @@ from fitt.fitmod import (
     minors,
 )
 from fitt.groebner import Ideal, ideal_contains, ideal_equal
-from fitt.polyring import CoefficientField, PolyRing, RingMismatchError, mono_from_pairs
+from fitt.polyring import CoefficientField, PolyRing, RingMismatchError, mono_from_pairs, mono_pairs
 
 QQ = CoefficientField(0)
 
@@ -159,7 +159,7 @@ def _dense(poly):
     out = {}
     for m, c in poly.terms.items():
         exps = [0, 0]
-        for idx, e in m:
+        for idx, e in mono_pairs(m):
             exps[idx] = e
         out[tuple(exps)] = c
     return out

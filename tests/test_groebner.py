@@ -31,6 +31,7 @@ from fitt.polyring import (
     mono_div,
     mono_from_pairs,
     mono_lcm,
+    mono_pairs,
     print_polynomial,
 )
 from fitt.rees import chart_presentation, ci_pruned_chart_presentation
@@ -158,7 +159,7 @@ class TestEliminate:
         got = eliminate(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
         xidx = rxy.index("x")
         for g in got.generators:
-            assert all(idx != xidx for m in g.terms for idx, _ in m)
+            assert all(idx != xidx for m in g.terms for idx, _ in mono_pairs(m))
         assert not got.is_zero()
 
     def test_by_position_as_by_name(self, rxy):
@@ -286,7 +287,7 @@ class TestSPolynomial:
 
     def test_exponent_cap_is_checked(self, rxy):
         # the cofactor of g is x^(cap - 1), which lifts g's tail x^2 past the cap
-        f = rxy.term(1, ((0, EXPONENT_CAP), (1, 1)))
+        f = rxy.term(1, mono_from_pairs(((0, EXPONENT_CAP), (1, 1))))
         g = rxy.parse("x*y^2 + x^2")
         with pytest.raises(ExponentOverflowError):
             s_polynomial(f, g)
@@ -487,7 +488,7 @@ def _dense(poly, nvars):
     out = {}
     for m, c in poly.terms.items():
         exps = [0] * nvars
-        for idx, e in m:
+        for idx, e in mono_pairs(m):
             exps[idx] = e
         out[tuple(exps)] = c
     return out

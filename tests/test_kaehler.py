@@ -7,7 +7,7 @@ from fitt import kaehler
 from fitt.fitmod import PresentedAlgebra, fitting_ideal
 from fitt.groebner import Ideal, ideal_equal
 from fitt.kaehler import kaehler_fitting, kaehler_presentation
-from fitt.polyring import CoefficientField, PolyRing, mono_from_pairs
+from fitt.polyring import CoefficientField, PolyRing, mono_from_pairs, mono_pairs
 from fitt.rees import ReesParams, ci_pruned_chart_presentation, rees_presentation
 
 from grid_cases import GRID_FILE, LARGE_FILE, STRETCH_FILE, read_grid
@@ -164,7 +164,7 @@ class TestJacobian:
                     1
                     for g in A.relations.generators
                     for m, c in g.terms.items()
-                    for _, e in m
+                    for _, e in mono_pairs(m)
                     if isinstance(c, Fraction) and (c * e).denominator == 1
                 )
         # a bare c*e would have left an integral Fraction in these entries

@@ -32,6 +32,7 @@ from fitt.polyring import (
     field_inverse,
     mono_from_pairs,
     mono_mul,
+    mono_pairs,
     parse_polynomial,
     print_polynomial,
 )
@@ -191,7 +192,7 @@ class TestArithmetic:
     def test_int_and_integral_fraction_coefficients_agree(self, rxy):
         three = rxy.parse("3*x")
         halved = rxy.parse("3/2*x").scale(2)  # 2 * Fraction(3, 2) is Fraction(3, 1)
-        x = ((0, 1),)
+        x = mono_from_pairs(((0, 1),))
         assert type(three.terms[x]) is int and type(halved.terms[x]) is Fraction
         assert halved == three and hash(halved) == hash(three)
         assert str(halved) == str(three) == "3*x"
@@ -200,7 +201,7 @@ class TestArithmetic:
     def test_exponent_overflow_is_an_error(self):
         big = mono_from_pairs([(0, 2**31 - 1)])
         with pytest.raises(ExponentOverflowError):
-            mono_mul(big, ((0, 1),))
+            mono_mul(big, mono_from_pairs(((0, 1),)))
 
     @pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
     @pytest.mark.parametrize("text", ["3*x^2*y", "-2/3*x*z^4", "7", "y", "0", "x + 2*y"])
@@ -247,21 +248,21 @@ class TestDerivative:
 
 class TestMonomialOrders:
     def test_lex_earlier_variables_larger(self):
-        assert LEX.compare(((0, 1),), ((1, 1),), 2) == 1
+        assert LEX.compare(mono_from_pairs(((0, 1),)), mono_from_pairs(((1, 1),)), 2) == 1
 
     def test_grevlex_degree_tie(self):
         # x1^2 vs x1*x2: tie on degree, broken by reverse-lex on the last variable
-        assert GREVLEX.compare(((0, 2),), ((0, 1), (1, 1)), 2) == 1
+        assert GREVLEX.compare(mono_from_pairs(((0, 2),)), mono_from_pairs(((0, 1), (1, 1))), 2) == 1
 
     def test_reflexive_equality(self):
-        m = ((0, 2), (2, 1))
+        m = mono_from_pairs(((0, 2), (2, 1)))
         for order in (LEX, GREVLEX, MonomialOrder.elimination({1})):
             assert order.compare(m, m, 3) == 0
 
     def test_block_order_eliminates(self):
         # any monomial touching the block beats any block-free monomial
         order = MonomialOrder.elimination({1})
-        assert order.compare(((1, 1),), ((0, 9),), 2) == 1
+        assert order.compare(mono_from_pairs(((1, 1),)), mono_from_pairs(((0, 9),)), 2) == 1
 
 
 def _block_then_rest_key(block, nvars):
@@ -270,8 +271,8 @@ def _block_then_rest_key(block, nvars):
     grevlex = GREVLEX.key_function(nvars)
 
     def key(m):
-        exps = dict(m)
-        rest = tuple(pair for pair in m if pair[0] not in block)
+        exps = dict(mono_pairs(m))
+        rest = mono_from_pairs(pair for pair in mono_pairs(m) if pair[0] not in block)
         return tuple(exps.get(v, 0) for v in sorted(block)), grevlex(rest)
 
     return key

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from fitt import properties
-from fitt.polyring import mono_from_pairs
+from fitt.polyring import ONE_MONOMIAL, mono_from_pairs, mono_pairs
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
 
@@ -162,19 +162,19 @@ def test_rand_monomial_refuses_an_unreachable_degree(nvars, max_deg, min_deg):
 
 def test_rand_monomial_is_canonical_and_within_its_degrees():
     rng = random.Random(11)
-    assert properties._rand_monomial(rng, 0, 3) == ()
+    assert properties._rand_monomial(rng, 0, 3) == ONE_MONOMIAL
     for nvars, max_deg, min_deg in ((1, 1, 1), (3, 3, 0), (4, 5, 2), (2, 4, 4)):
         for _ in range(500):
             m = properties._rand_monomial(rng, nvars, max_deg, min_deg)
-            assert m == mono_from_pairs(m)
-            assert all(0 <= idx < nvars for idx, _ in m)
-            assert min_deg <= sum(e for _, e in m) <= max_deg, m
+            assert m == mono_from_pairs(mono_pairs(m))
+            assert all(0 <= idx < nvars for idx, _ in mono_pairs(m))
+            assert min_deg <= sum(e for _, e in mono_pairs(m)) <= max_deg, m
 
 
 def test_instance_stream_is_pinned(monkeypatch):
     """A digest of every instance the suites draw over the four seeds from
     DEFAULT_SEED: each polynomial's ring and printed text, and each monomial,
-    in draw order.  An edit to a generator that changes one instance fails
+    in draw order, the monomial as its tuple of (index, exponent) pairs.  An edit to a generator that changes one instance fails
     here, so the suites and the benchmark's props rows keep their instances."""
     digest = hashlib.sha256()
     counts = {"poly": 0, "mono": 0}
@@ -189,7 +189,7 @@ def test_instance_stream_is_pinned(monkeypatch):
     def mono(*args, **kwargs):
         m = real_mono(*args, **kwargs)
         counts["mono"] += 1
-        digest.update(f"M {m!r}\n".encode())
+        digest.update(f"M {tuple(mono_pairs(m))!r}\n".encode())
         return m
 
     monkeypatch.setattr(properties, "_rand_poly", poly)
