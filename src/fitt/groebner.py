@@ -74,9 +74,7 @@ class Ideal(_Frozen):
         for g in generators:
             if g.ring != ring:
                 raise RingMismatchError(f"generator in {g.ring}, ideal in {ring}")
-            if g.is_zero:
-                continue
-            if g not in gens:
+            if not g.is_zero and g not in gens:
                 gens.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
@@ -167,8 +165,7 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
-    # the support of each leading monomial (see mono_support)
-    sups: list[int] = []
+    sups: list[int] = []  # the support of each leading monomial
     # queue holds one (deg lcm, i, j, lcm) entry per pair in pending; (i, j)
     # is unique, so the lcm rides along without ever being compared.  The set
     # answers the chain criterion's "still pending?" question; a coprime pair
@@ -181,11 +178,10 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         j = len(G)
         G.append(f)
         lt = f.leading_term(order)[0]
-        sup = mono_support(lt)
         lts.append(lt)
-        sups.append(sup)
+        sups.append(mono_support(lt))
         for i in range(j):
-            if not sups[i] & sup:  # coprime
+            if not sups[i] & sups[j]:  # coprime
                 continue
             lcm = mono_lcm(lts[i], lt)
             heapq.heappush(queue, (mono_degree(lcm), i, j, lcm))

@@ -1,40 +1,35 @@
 """Exact sparse multivariate polynomials over the rationals or a prime field.
 
-A monomial is an int: variable i's exponent is the 32-bit field at bit 32*i,
-whose top bit is a guard bit, clear in every monomial, since EXPONENT_CAP is
-2^31 - 1.  A product is a + b: two capped exponents sum below 2^32, so no
-field carries into the next, and one above the cap sets its guard bit.  A
-quotient is b - a, and a divides b exactly when b - a is not negative and
-has no guard bit set, as a field that borrows sets its own.  lcm and
-supports take a few operations on the module masks GUARDS and _VALUES,
-which cover the fields of every ring and every mono_from_pairs monomial made
-so far and widen when a wider one is made.  mono_from_pairs is the one
-constructor and mono_pairs the one reader of (index, exponent) pairs.  The
-order keys stay in tables (below): a key built from the int costs several
-big-int operations, and on a wide ring more than a table hit.
-Coefficients are Python ints reduced mod p.  Over Q, CoefficientField makes an
-integral value a plain int and any other a Fraction in lowest terms; sums and
-products then follow Python's numeric tower, which is exact, and 3 and
-Fraction(3) compare, hash and print alike.  One base, _Frozen, refuses
-assigning or deleting any attribute of a field, order, ring, polynomial or
-ideal, and its base _Fields pickles and copies every hand-written class of
-fitt through its constructor.  Polynomial.terms and an ideal's _gb and _sat
-caches are plain dicts, only treated as immutable: fitt never mutates one
-after construction, and callers must not (a changed terms map leaves a stale
-hash memo).  Every hot path reads them, so no read-only view wraps them.
+A monomial is an int: variable i's exponent is its field of 32 bits at bit
+32*i, whose top bit, the guard bit, is clear.  Two exponents at most
+EXPONENT_CAP = 2^31 - 1 sum below 2^32, so a product a + b never carries into
+the next field, and a sum above the cap sets a guard bit.  A quotient is
+b - a, and a divides b exactly when b - a is not negative and sets no guard
+bit, as a field that borrows sets its own.  The masks GUARDS and _VALUES
+cover the fields of every ring and mono_from_pairs monomial made so far.
+mono_from_pairs is the one constructor and mono_pairs the one reader of
+(index, exponent) pairs.  Coefficients are Python ints reduced mod p.  Over
+Q, CoefficientField makes an integral value a plain int and any other a
+Fraction in lowest terms; sums and products then follow Python's numeric
+tower, which is exact, and 3 and Fraction(3) compare, hash and print alike.
+One base, _Frozen, refuses assigning or deleting any attribute of a field,
+order, ring, polynomial or ideal, and its base _Fields pickles and copies
+every hand-written class of fitt through its constructor.  Polynomial.terms
+and an ideal's _gb and _sat caches are plain dicts, only treated as
+immutable: fitt never mutates one after construction, and callers must not
+(a changed terms map leaves a stale hash memo).  Every hot path reads them,
+so no read-only view wraps them.
 
 Rings and fields are hash-consed in the module tables _RINGS and _FIELDS:
 building one equal to one built before returns that same object, so equality
 is identity and costs no Python call.  The tables are filled by setdefault,
-so concurrent builders share one object, and they never evict an entry; the
-ring table grows with the number of distinct rings a process builds.
+so concurrent builders share one object, and they never evict an entry.
 
 MonomialOrder.key_function makes one key function per (order, nvars), kept
-by functools.cache and shared by every ring and by compare; it never evicts
-one.  That function is the lookup of a _KeyTable, which builds each
-monomial's key once and holds at most KEY_TABLE_CAP keys, emptying itself
-when full, so memory stays bounded on large rows.  Concurrent fills are
-safe: equal keys are equal values, and a clear only costs a rebuild.
+by functools.cache and shared by every ring and by compare.  It is the
+lookup of a _KeyTable, which builds each monomial's key once, since a hit is
+cheaper than even the packed grevlex key, and empties itself at
+KEY_TABLE_CAP keys.  Concurrent fills are safe: equal keys are equal values.
 
 add_terms is the one place coefficient sums are made: every sum of term maps,
 here and in the Groebner layer, goes through it, so the field arithmetic and
@@ -46,7 +41,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 EXPONENT_CAP = 2**31 - 1
 # Variable i's exponent is the field of FIELD_BITS bits at bit FIELD_BITS*i of
@@ -240,16 +235,11 @@ class CoefficientField(_Frozen):
         p = self.characteristic
         if p:
             a = a % p
-            if a == 1:
-                return 1
-            if a == 0:
-                raise FieldDivisionError(f"0 has no inverse in F_{p}")
-            return pow(a, -1, p)
         if a == 1:
             return 1
         if a == 0:
-            raise FieldDivisionError("0 has no inverse in Q")
-        return _rational(1 / Fraction(a))
+            raise FieldDivisionError(f"0 has no inverse in {'F_' + str(p) if p else 'Q'}")
+        return pow(a, -1, p) if p else _rational(1 / Fraction(a))
 
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"F_{self.characteristic}"
@@ -264,44 +254,35 @@ def field_inverse(a: Coeff, field: CoefficientField) -> Coeff:
 # Monomials
 
 
-def _guard_bits(nfields: int) -> int:
-    """The guard bits of the first nfields fields."""
-    return int.from_bytes(b"\0\0\0\x80" * nfields, "little")
-
-
 def _cover(n: int) -> None:
     """Widen GUARDS, _VALUES and _LARGE_EXPONENTS to n fields."""
     global _covered, GUARDS, _VALUES, _LARGE_EXPONENTS
-    guards = _guard_bits(n)
-    # below 2^k in each of n fields, a degree is below _DEGREE_MODULUS
+    _covered = n
+    GUARDS = int.from_bytes(b"\0\0\0\x80" * n, "little")
+    _VALUES = GUARDS - (GUARDS >> (FIELD_BITS - 1))
+    # with every exponent below 2^k, a degree is below _DEGREE_MODULUS
     k = max(0, (_DEGREE_MODULUS // n).bit_length() - 1)
-    _covered, GUARDS = n, guards
-    _VALUES = guards - (guards >> (FIELD_BITS - 1))
-    _LARGE_EXPONENTS = guards - (guards >> (FIELD_BITS - 1 - k))
+    _LARGE_EXPONENTS = GUARDS - (GUARDS >> (FIELD_BITS - 1 - k))
 
 
-_covered = 0
 _cover(8)
 
 
-def _overflow(m: int):
-    """Raise the overflow of m, a sum with a guard bit set, naming the
-    exponent of its first overflowing variable."""
+def _overflow(m: Monomial):
+    """Raise the overflow of a sum with a guard bit set, naming its first
+    exponent above the cap."""
     exp = next(e for _, e in mono_pairs(m) if e > EXPONENT_CAP)
     raise ExponentOverflowError(f"exponent {exp} exceeds cap {EXPONENT_CAP}")
 
 
 def mono_from_pairs(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    """The monomial of (index, exponent) pairs, in any order; pairs of one
-    index add up, and zero exponents vanish."""
+    """The monomial of (index, exponent) pairs; the exponents of a repeated
+    index add up."""
     acc: dict[int, int] = {}
     for idx, exp in pairs:
-        if exp < 0:
-            raise ValueError(f"negative exponent {exp} for variable index {idx}")
-        if idx < 0:
-            raise ValueError(f"negative variable index {idx}")
-        if exp:
-            acc[idx] = acc.get(idx, 0) + exp
+        if exp < 0 or idx < 0:
+            raise ValueError(f"negative exponent {exp} or variable index {idx}")
+        acc[idx] = acc.get(idx, 0) + exp
     m = 0
     for idx, exp in sorted(acc.items()):
         if exp > EXPONENT_CAP:
@@ -313,23 +294,19 @@ def mono_from_pairs(pairs: Iterable[tuple[int, int]]) -> Monomial:
 
 
 def mono_pairs(m: Monomial) -> list[tuple[int, int]]:
-    """The (index, exponent) pairs of m, ascending by index, zeros left out;
-    the inverse of mono_from_pairs."""
-    pairs = []
-    idx = 0
+    """The (index, exponent) pairs of m's nonzero exponents, by index."""
+    pairs, idx = [], 0
     while m:
-        exp = m & _FIELD
-        if exp:
-            pairs.append((idx, exp))
+        if m & _FIELD:
+            pairs.append((idx, m & _FIELD))
         m >>= FIELD_BITS
         idx += 1
     return pairs
 
 
 def mono_degree(m: Monomial) -> int:
-    """The total degree: a sum of fields is m mod 2^32 - 1, and so mod its
-    divisor _DEGREE_MODULUS, exact while it is below that; m has no large
-    exponent, so it is."""
+    """The sum of m's fields, which is m mod a divisor of 2^32 - 1 while no
+    exponent is large."""
     if m & _LARGE_EXPONENTS:
         return sum(e for _, e in mono_pairs(m))
     return m % _DEGREE_MODULUS
@@ -347,9 +324,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b: b - a borrows from no field.  A field that borrows
-    ends with its guard bit set, or, the top one, makes the difference
-    negative."""
+    """True when a | b."""
     d = b - a
     return d >= 0 and not d & GUARDS
 
@@ -360,17 +335,16 @@ def mono_div(b: Monomial, a: Monomial) -> Monomial:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    """Per field, a's exponent where it is at least b's, else b's: a guard
-    bit survives a field's (a_i + 2^31) - b_i exactly when a_i >= b_i."""
+    # a field of (a | GUARDS) - b keeps its guard bit exactly when a's exponent
+    # is at least b's, and ge - (ge >> 31) is then that field's value bits
     ge = ((a | GUARDS) - b) & GUARDS
     return b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
 
 
 def mono_support(m: Monomial) -> int:
-    """The variables of m, as the guard bits of its nonzero fields: adding
-    2^31 - 1 to a field sets its guard bit exactly when the field is nonzero.
-    Monomials are coprime exactly when their supports share no bit, and a
-    divisor's support lies in that of its multiple."""
+    """The guard bits of m's nonzero fields, as adding 2^31 - 1 sets them:
+    coprime monomials have disjoint supports, and a divisor's support lies in
+    its multiple's."""
     return (m + _VALUES) & GUARDS
 
 
@@ -417,47 +391,40 @@ class MonomialOrder(_Frozen):
     def _key_builder(self, nvars: int):
         """A function that builds a monomial's sort key afresh."""
         if self.kind == "lex":
-            # the fields in reverse, so the first variable's is the top one
-            top = FIELD_BITS * (nvars - 1)
-            def key(m: Monomial) -> int:
-                k = 0
-                for idx, exp in mono_pairs(m):
-                    k |= exp << (top - FIELD_BITS * idx)
-                return k
-            return key
+            return _fields_reversed(range(nvars))
         if self.kind == "grevlex":
-            # the degree first; on a tie the smaller m, compared from the
-            # last variable's field down, is the larger monomial
+            # on equal degrees the smaller m, compared from the last
+            # variable's field down, is the larger monomial
             shift = FIELD_BITS * nvars
-            def key(m: Monomial) -> int:
-                return (mono_degree(m) << shift) - m
-            return key
+            return lambda m: (mono_degree(m) << shift) - m
         if self.kind == "block":
-            # the block's fields, read from its first variable up and
-            # reversed as in the lex key
-            blockvars = sorted(self.block) or [0]
-            first, span = blockvars[0], blockvars[-1] - blockvars[0] + 1
-            top = FIELD_BITS * (len(blockvars) - 1)
-            pos = {v - first: top - FIELD_BITS * i for i, v in enumerate(blockvars)}
-            low = FIELD_BITS * first
-            fields = (1 << (FIELD_BITS * span)) - 1 if self.block else 0
             # on equal block exponents, grevlex on whole monomials orders as on
             # their non-block parts: both degrees shift alike, block entries tie
-            grevlex = GREVLEX.key_function(nvars)
-            def key(m: Monomial) -> tuple:
-                k = 0
-                for idx, exp in mono_pairs(m >> low & fields):
-                    p = pos.get(idx)
-                    if p is not None:
-                        k |= exp << p
-                return (k, grevlex(m))
-            return key
+            block, grevlex = _fields_reversed(sorted(self.block)), GREVLEX.key_function(nvars)
+            return lambda m: (block(m), grevlex(m))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def compare(self, a: Monomial, b: Monomial, nvars: int) -> int:
         ka = self.key_function(nvars)
         x, y = ka(a), ka(b)
         return (x > y) - (x < y)
+
+
+def _fields_reversed(variables: Sequence[int]):
+    """A key that compares the exponents of variables, ascending, in lex
+    order: their fields packed in reverse, the first variable's on top."""
+    first = variables[0] if variables else 0
+    span = (1 << (FIELD_BITS * (variables[-1] - first + 1))) - 1 if variables else 0
+    top = FIELD_BITS * (len(variables) - 1)
+    shifts = {v - first: top - FIELD_BITS * i for i, v in enumerate(variables)}
+
+    def key(m: Monomial) -> int:
+        k = 0
+        for idx, exp in mono_pairs(m >> (FIELD_BITS * first) & span):
+            if idx in shifts:
+                k |= exp << shifts[idx]
+        return k
+    return key
 
 
 class _KeyTable(dict):
@@ -470,7 +437,7 @@ class _KeyTable(dict):
     def __init__(self, build) -> None:
         self.build = build
 
-    def __missing__(self, m: Monomial) -> tuple:
+    def __missing__(self, m: Monomial):
         if len(self) >= KEY_TABLE_CAP:
             self.clear()
         key = self[m] = self.build(m)
@@ -560,10 +527,10 @@ class PolyRing(_Frozen):
         object.__setattr__(ring, "variables", names)
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(ring, "_hash", hash((field, names)))
-        width = FIELD_BITS * len(names)
-        object.__setattr__(ring, "_outside", _guard_bits(len(names)) - (1 << width))
         if len(names) > _covered:
             _cover(len(names))
+        width = 1 << (FIELD_BITS * len(names))
+        object.__setattr__(ring, "_outside", (GUARDS & (width - 1)) - width)
         return _RINGS.setdefault(key, ring)
 
     @property
@@ -606,18 +573,18 @@ class PolyRing(_Frozen):
         return Polynomial(self, {1 << (FIELD_BITS * self.index(var)): self.field.normalize(1)})
 
     def term(self, coeff: Union[int, Fraction], mono: Monomial) -> "Polynomial":
-        if type(mono) is not int or mono & self._outside:
-            _refuse_monomial(mono, self)
-        c = self.field.normalize(coeff)
-        return Polynomial(self, {mono: c} if c else {})
+        return self.from_terms(((mono, coeff),))
 
     def from_terms(self, pairs: Iterable[tuple[Monomial, Union[int, Fraction]]]) -> "Polynomial":
         acc: dict[Monomial, Coeff] = {}
         f = self.field
-        outside = self._outside
         for mono, coeff in pairs:
-            if type(mono) is not int or mono & outside:
-                _refuse_monomial(mono, self)
+            if type(mono) is not int or mono & self._outside:
+                if type(mono) is not int:
+                    raise TypeError(f"a monomial is an int, not {type(mono).__name__}; see mono_from_pairs")
+                if mono < 0 or mono >> (FIELD_BITS * self.nvars):
+                    raise ValueError(f"{mono} is not a monomial in the {self.nvars} variables of {self}")
+                _overflow(mono)
             acc[mono] = acc.get(mono, 0) + f.normalize(coeff)
         # one normalization of each sum, which also drops the zeros
         return Polynomial(self, add_terms({}, 1, ONE_MONOMIAL, acc, f))
@@ -635,16 +602,6 @@ class PolyRing(_Frozen):
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
-
-
-def _refuse_monomial(m, ring: PolyRing):
-    """Raise why m, which sets a bit of ring._outside or is no int, is not a
-    monomial of ring."""
-    if type(m) is not int:
-        raise TypeError(f"a monomial is an int, not {type(m).__name__}; build one with mono_from_pairs")
-    if m < 0 or m >> (FIELD_BITS * ring.nvars):
-        raise ValueError(f"{m} is not a monomial in the {ring.nvars} variables of {ring}")
-    _overflow(m)
 
 
 class Polynomial(_Frozen):
@@ -679,11 +636,7 @@ class Polynomial(_Frozen):
         raise RingMismatchError(f"operands in {self.ring} and {other.ring}")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, Polynomial) and self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
@@ -806,21 +759,14 @@ class Polynomial(_Frozen):
                 raise RingMismatchError(f"image of {name!r} lives in {img.ring}, not {target}")
         names = self.ring.variables
         images: dict[int, Polynomial] = {}
-
-        def image(idx: int) -> Polynomial:
-            img = images.get(idx)
-            if img is None:
-                img = mapping.get(names[idx])
-                if img is None:
-                    img = target.variable(names[idx])
-                images[idx] = img
-            return img
-
         result = target.zero()
         for m, c in self.terms.items():
             term = target.constant(c)
             for idx, exp in mono_pairs(m):
-                term = term * image(idx) ** exp
+                img = images.get(idx)
+                if img is None:
+                    img = images[idx] = mapping.get(names[idx]) or target.variable(names[idx])
+                term = term * img ** exp
             result = result + term
         return result
 
@@ -846,21 +792,13 @@ def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     """Terms in descending monomial order; output re-parses to the same polynomial."""
     if f.is_zero:
         return "0"
-    ring = f.ring
-    key = ring.sort_key(order)
+    names = f.ring.variables
     pieces: list[str] = []
-    for m in sorted(f.terms, key=key, reverse=True):
+    for m in sorted(f.terms, key=f.ring.sort_key(order), reverse=True):
         c = f.terms[m]  # prime-field residues are never negative
         neg, mag = c < 0, str(abs(c))
-        if m == ONE_MONOMIAL:
-            body = mag
-        else:
-            factors = []
-            for idx, exp in mono_pairs(m):
-                name = ring.variables[idx]
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            monom = "*".join(factors)
-            body = monom if mag == "1" else f"{mag}*{monom}"
+        monom = "*".join(names[idx] if exp == 1 else f"{names[idx]}^{exp}" for idx, exp in mono_pairs(m))
+        body = monom if mag == "1" and monom else f"{mag}*{monom}" if monom else mag
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:

@@ -116,9 +116,10 @@ class ChartCheck(namedtuple("ChartCheck", "r equal ms")):
 
 class VerificationReport(_SlotRecord):
     """One verification row.  Booleans are tri-state: None means the check was
-    not requested, and does not count against the status."""
+    not requested, and does not count against the status.  A row with a
+    reason was skipped, or, when _error is set, ended in an error."""
 
-    __slots__ = ("params", "policy", "index_used", "charts", "micali_ok", "corollary_ok", "image_ok", "reason")
+    __slots__ = ("params", "policy", "index_used", "charts", "micali_ok", "corollary_ok", "image_ok", "reason", "_error")
 
     def __init__(self, params: ReesParams, policy: str, index_used: int, charts: Optional[list[ChartCheck]] = None,
                  micali_ok: Optional[bool] = None, corollary_ok: Optional[bool] = None,
@@ -126,11 +127,17 @@ class VerificationReport(_SlotRecord):
         self.params, self.policy, self.index_used = params, policy, index_used
         self.charts = [] if charts is None else charts
         self.micali_ok, self.corollary_ok, self.image_ok, self.reason = micali_ok, corollary_ok, image_ok, reason
+        self._error = False
+
+    def __reduce__(self):
+        # the error mark is no constructor argument, so it travels as state
+        reduced = super().__reduce__()
+        return reduced + ((None, {"_error": True}),) if self._error else reduced
 
     @property
     def status(self) -> str:
         if self.reason is not None:
-            return "skipped"
+            return "error" if self._error else "skipped"
         checks = [self.micali_ok, self.corollary_ok, self.image_ok]
         if any(c is False for c in checks) or any(not c.equal for c in self.charts):
             return "fail"
@@ -330,16 +337,27 @@ def run_grid(
 ) -> list[VerificationReport]:
     """Evaluate each tuple independently; report order follows input order.
     Invalid tuples, a non-int field included, and exponent overflows are
-    reported as skipped, never aborting the run."""
+    reported as skipped, and any other exception a tuple raises as its
+    error; neither aborts the run."""
     policies = itertools.repeat(policy)
     size = min(workers, len(grid), os.cpu_count() or 1)
     if size <= 1:
-        return list(map(evaluate_params, grid, policies))
+        return list(map(_grid_row, grid, policies))
     # the pool machinery is loaded only when a run asks for it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(evaluate_params, grid, policies))
+        return list(pool.map(_grid_row, grid, policies))
+
+
+def _grid_row(params: ReesParams, policy: Policy) -> VerificationReport:
+    """evaluate_params, with an exception it raises made the row's error."""
+    try:
+        return evaluate_params(params, policy)
+    except Exception as err:
+        report = VerificationReport(params, policy_label(policy), 0, reason=f"{type(err).__name__}: {err}")
+        report._error = True
+        return report
 
 
 def default_grid() -> list[ReesParams]:

@@ -326,6 +326,31 @@ def test_grid_text_reports_exponent_above_the_cap_as_skipped(tmp_path):
     assert "skipped" in rows[1] and rows[1].endswith("# exponent 4294967292 exceeds cap 2147483647")
 
 
+def test_grid_reports_an_unexpected_exception_as_an_error_row(tmp_path, monkeypatch):
+    import fitt.verify
+
+    check = fitt.verify.check_theorem41
+
+    def broken(params, policy):
+        if params.p == 3:
+            raise RuntimeError("a fault in one tuple")
+        return check(params, policy)
+
+    monkeypatch.setattr(fitt.verify, "check_theorem41", broken)
+    path = tmp_path / "grid.txt"
+    path.write_text("p=2 n=2 s=1 l=1 v=2,1\np=3 n=2 s=1 l=1 v=3,1\n", encoding="utf-8")
+    code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing"])
+    rows = out.splitlines()[1:]
+    assert code == 1 and len(rows) == 2
+    assert " pass " in rows[0]
+    assert " error " in rows[1] and rows[1].endswith("# RuntimeError: a fault in one tuple")
+    code, out = run_cli(["verify", "grid", "--file", str(path), "--workers", "1", "--no-timing", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 1 and [row["status"] for row in payload] == ["pass", "error"]
+    for row in payload:
+        jsonschema.validate(row, SCHEMA)
+
+
 def test_props_text_reports_all_suites():
     code, out = run_cli(["verify", "props", "--seed", "3"])
     assert code == 0

@@ -17,9 +17,11 @@ import pytest
 
 from fitt.groebner import Ideal, eliminate, reduce
 from fitt.polyring import (
+    EXPONENT_CAP,
     GREVLEX,
     KEY_TABLE_CAP,
     LEX,
+    ONE_MONOMIAL,
     CoefficientField,
     ExponentOverflowError,
     FieldDivisionError,
@@ -29,10 +31,17 @@ from fitt.polyring import (
     RingMismatchError,
     UnknownVariableError,
     _KeyTable,
+    add_terms,
     field_inverse,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_exponent,
     mono_from_pairs,
+    mono_lcm,
     mono_mul,
     mono_pairs,
+    mono_support,
     parse_polynomial,
     print_polynomial,
 )
@@ -226,6 +235,182 @@ class TestArithmetic:
         assert f**1 == f
         with pytest.raises(ExponentOverflowError, match=f"exponent {2**31} exceeds cap"):
             f**2
+
+
+CAP = EXPONENT_CAP
+
+
+def _m(*pairs):
+    return mono_from_pairs(pairs)
+
+
+class TestExponentCap:
+    """Every product path stops at the cap: an exponent of 2^31 - 1 is formed,
+    one more raises ExponentOverflowError naming the first exponent above the
+    cap, and never carries into the next variable's exponent."""
+
+    def test_mono_from_pairs(self):
+        assert mono_pairs(_m((1, CAP), (2, 1))) == [(1, CAP), (2, 1)]
+        assert mono_pairs(_m((1, CAP - 1), (1, 1))) == [(1, CAP)]
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            _m((1, CAP), (1, 1))
+        with pytest.raises(ValueError, match="negative"):
+            _m((0, -1))
+        with pytest.raises(ValueError, match="negative"):
+            _m((-1, 1))
+
+    def test_mono_mul(self):
+        a, b = _m((0, 7), (1, CAP - 5), (2, 3)), _m((1, 5), (2, 4))
+        assert mono_pairs(mono_mul(a, b)) == [(0, 7), (1, CAP), (2, 7)]
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            mono_mul(a, mono_mul(b, _m((1, 1))))
+        # two overflowing exponents: the one of the lower index is named
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {2 * CAP} exceeds cap {CAP}$"):
+            mono_mul(_m((0, CAP), (1, CAP)), _m((0, CAP), (1, CAP)))
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_add_terms_shift(self, field):
+        terms = {_m((0, CAP - 1), (1, 2)): 1, _m((1, 5)): 2}
+        got = add_terms({}, 1, _m((0, 1), (1, 1)), terms, field)
+        assert {tuple(mono_pairs(m)): c for m, c in got.items()} == {((0, CAP), (1, 3)): 1, ((0, 1), (1, 6)): 2}
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            add_terms({}, 1, _m((0, 2)), terms, field)
+
+    def test_polynomial_product(self, rxy):
+        f, g = rxy.parse(f"x^{CAP - 1}*y + 1"), rxy.parse("x*y^2")
+        assert f * g == rxy.parse(f"x^{CAP}*y^3 + x*y^2")
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            f * g * rxy.variable("x")
+
+    def test_single_term_power(self, rxy):
+        x, y = rxy.variable("x"), rxy.variable("y")
+        assert x**CAP == rxy.term(1, _m((0, CAP)))
+        assert (x * x * y) ** (CAP // 2) == rxy.term(1, _m((0, CAP - 1), (1, CAP // 2)))
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            x ** (CAP + 1)
+        # m * e would carry the first field into the second
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {2 * CAP + 2} exceeds cap {CAP}$"):
+            (x * y) ** (2 * CAP + 2)
+
+    def test_parse_repeated_factor(self, rxy):
+        f = rxy.parse(f"x^{CAP - 3}*y^3*x^3")
+        assert f == rxy.term(1, _m((0, CAP), (1, 3)))
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            rxy.parse(f"x^{CAP - 3}*y^3*x^4")
+        with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+            rxy.parse(f"y*x^{CAP + 1}")
+
+    def test_term_and_from_terms(self, rxy):
+        at_cap = _m((0, CAP), (1, 1))
+        assert rxy.term(2, at_cap).terms == {at_cap: 2}
+        assert rxy.from_terms([(at_cap, 1), (at_cap, 1), (0, 3)]).terms == {at_cap: 2, 0: 3}
+        # an int whose first field holds cap + 1 sets that field's guard bit
+        above = at_cap + 1
+        for build in (lambda: rxy.term(1, above), lambda: rxy.from_terms([(0, 1), (above, 1)])):
+            with pytest.raises(ExponentOverflowError, match=f"^exponent {CAP + 1} exceeds cap {CAP}$"):
+                build()
+
+    @pytest.mark.parametrize("bad", [((0, 1),), [(0, 1)], 1.0, "x", None, True])
+    def test_a_monomial_that_is_no_int_is_a_type_error(self, rxy, bad):
+        for build in (lambda: rxy.term(1, bad), lambda: rxy.from_terms([(bad, 1)])):
+            with pytest.raises(TypeError, match="mono_from_pairs"):
+                build()
+
+    @pytest.mark.parametrize("bad", [-1, _m((2, 1)), _m((0, 1), (5, 3))], ids=["negative", "x2", "x5"])
+    def test_a_monomial_outside_the_ring_is_a_value_error(self, rxy, bad):
+        for build in (lambda: rxy.term(1, bad), lambda: rxy.from_terms([(bad, 1)])):
+            with pytest.raises(ValueError, match="is not a monomial in the 2 variables"):
+                build()
+
+
+def _ref_lex(a, nvars):
+    return tuple(a.get(i, 0) for i in range(nvars))
+
+
+def _ref_grevlex(a, nvars):
+    return sum(a.values()), tuple(-a.get(i, 0) for i in reversed(range(nvars)))
+
+
+def _ref_block(block):
+    def key(a, nvars):
+        return tuple(a.get(v, 0) for v in sorted(block)), _ref_grevlex(a, nvars)
+    return key
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def _random_exponents(rng, nvars):
+    """A dict of nonzero exponents: small ones, so that ties and divisors
+    are common, or ones anywhere up to the cap, or near it."""
+    kind = rng.choice(("small", "any", "near"))
+    out = {}
+    for i in rng.sample(range(nvars), rng.randint(0, nvars)):
+        e = {"small": lambda: rng.randint(1, 3), "any": lambda: rng.randint(1, CAP),
+             "near": lambda: rng.randint(CAP - 3, CAP)}[kind]()
+        out[i] = e
+    return out
+
+
+def test_packed_monomials_match_a_pair_reference():
+    """Each mono_* helper and the lex, grevlex and block keys against a
+    reference on dicts of exponents, over 1 to 64 variables with exponents up
+    to the cap."""
+    rng = random.Random(20261020)
+    orders = ((LEX, _ref_lex), (GREVLEX, _ref_grevlex), (MonomialOrder.elimination({0, 2}), _ref_block({0, 2})))
+    seen = {"divides": 0, "overflow": 0, "coprime": 0, "large degree": 0}
+    for _ in range(600):
+        nvars = rng.randint(1, 64)
+        da, db = _random_exponents(rng, nvars), _random_exponents(rng, nvars)
+        if rng.random() < 0.3:  # b a multiple of a, unless that passes the cap
+            db = {i: da.get(i, 0) + db.get(i, 0) for i in da.keys() | db.keys()}
+        if any(e > CAP for e in db.values()):
+            with pytest.raises(ExponentOverflowError):
+                mono_from_pairs(db.items())
+            continue
+        a, b = mono_from_pairs(da.items()), mono_from_pairs(rng.sample(sorted(db.items()), len(db)))
+        assert mono_pairs(a) == sorted(da.items()) and mono_pairs(b) == sorted(db.items())
+        assert mono_from_pairs(mono_pairs(a)) == a and (a == b) == (da == db)
+        assert mono_degree(a) == sum(da.values())
+        seen["large degree"] += sum(da.values()) >= 2**29
+        assert all(mono_exponent(a, i) == da.get(i, 0) for i in range(nvars + 1))
+        product = {i: da.get(i, 0) + db.get(i, 0) for i in da.keys() | db.keys()}
+        over = sorted(i for i, e in product.items() if e > CAP)
+        if over:
+            seen["overflow"] += 1
+            with pytest.raises(ExponentOverflowError, match=f"^exponent {product[over[0]]} exceeds cap {CAP}$"):
+                mono_mul(a, b)
+        else:
+            assert mono_pairs(mono_mul(a, b)) == sorted(product.items())
+        divides = all(db.get(i, 0) >= e for i, e in da.items())
+        seen["divides"] += divides
+        assert mono_divides(a, b) == divides, (da, db)
+        if divides:
+            quotient = {i: e - da.get(i, 0) for i, e in db.items() if e != da.get(i, 0)}
+            assert mono_pairs(mono_div(b, a)) == sorted(quotient.items())
+        lcm = {i: max(da.get(i, 0), db.get(i, 0)) for i in da.keys() | db.keys()}
+        assert mono_pairs(mono_lcm(a, b)) == sorted(lcm.items())
+        coprime = not da.keys() & db.keys()
+        seen["coprime"] += coprime and bool(da) and bool(db)
+        assert (not mono_support(a) & mono_support(b)) == coprime
+        assert mono_support(mono_lcm(a, b)) == mono_support(a) | mono_support(b)
+        for order, ref in orders:
+            for key in (order.key_function(nvars), order._key_builder(nvars)):
+                assert _sign(key(a), key(b)) == _sign(ref(da, nvars), ref(db, nvars)), (order, da, db)
+            assert order.compare(ONE_MONOMIAL, a, nvars) == (-1 if da else 0)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_field_past_the_first_rings_is_still_guarded():
+    # x150^2 does not divide x150*x151: the difference borrows from field 150
+    a, b = _m((150, 2)), _m((150, 1), (151, 1))
+    assert not mono_divides(a, b) and mono_divides(_m((150, 1)), b)
+    assert mono_pairs(mono_lcm(a, b)) == [(150, 2), (151, 1)]
+    assert mono_support(a) & mono_support(b) and not mono_support(a) & mono_support(_m((151, 4)))
+    with pytest.raises(ExponentOverflowError):
+        mono_mul(_m((150, CAP), (151, 1)), a)
+    assert mono_degree(_m((150, CAP), (151, CAP), (152, CAP))) == 3 * CAP
 
 
 class TestDerivative:

@@ -1,6 +1,9 @@
 import concurrent.futures
+import copy
 import importlib.util
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -452,6 +455,43 @@ class TestRunGrid:
         parallel = run_grid(grid, workers=2)
         strip = lambda reports: [r.to_dict(include_timing=False) for r in reports]
         assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(2, marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork", reason="the pool's workers must inherit the patch")),
+        ],
+    )
+    def test_an_unexpected_exception_is_that_rows_error(self, monkeypatch, workers):
+        grid = [ReesParams(2, 2, 1, 1, (2, 1)), ReesParams(3, 2, 1, 1, (3, 1)), ReesParams(2, 3, 1, 2, (2, 2, 1))]
+        expected = [r.to_dict(include_timing=False) for r in run_grid(grid)]
+        check = fitt.verify.check_theorem41
+
+        def broken(params, policy):
+            if params.p == 3:
+                raise KeyError("a fault in one tuple")
+            return check(params, policy)
+
+        monkeypatch.setattr(fitt.verify, "check_theorem41", broken)
+        reports = run_grid(grid, workers=workers)
+        assert [r.status for r in reports] == ["pass", "error", "pass"]
+        assert reports[1].reason == "KeyError: 'a fault in one tuple'"
+        assert reports[1].index_used == 0 and reports[1].charts == []
+        got = [r.to_dict(include_timing=False) for r in reports]
+        assert got[0] == expected[0] and got[2] == expected[2]
+        assert got[1] == {**expected[1], "index_used": 0, "charts": [], "micali_ok": None, "corollary_ok": None,
+                          "image_ok": None, "status": "error", "reason": "KeyError: 'a fault in one tuple'"}
+
+    def test_an_error_row_keeps_its_status_through_pickling(self, monkeypatch):
+        monkeypatch.setattr(fitt.verify, "evaluate_params", lambda params, policy: 1 / 0)
+        (report,) = run_grid([ReesParams(2, 2, 1, 1, (2, 1))])
+        assert (report.status, report.reason, report.policy) == ("error", "ZeroDivisionError: division by zero", "corrected")
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report)):
+            assert copied == report and copied.status == "error"
+        skipped = VerificationReport(report.params, "corrected", 0, reason=report.reason)
+        assert skipped.status == "skipped" and skipped != report
 
     @staticmethod
     def _stand_in_pool(monkeypatch, cpus):
