@@ -238,7 +238,7 @@ class CoefficientField(_Frozen):
         if a == 1:
             return 1
         if a == 0:
-            raise FieldDivisionError(f"0 has no inverse in {'F_' + str(p) if p else 'Q'}")
+            raise FieldDivisionError(f"0 has no inverse in F_{p}" if p else "0 has no inverse in Q")
         return pow(a, -1, p) if p else _rational(1 / Fraction(a))
 
     def __str__(self) -> str:
