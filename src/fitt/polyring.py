@@ -257,12 +257,12 @@ def field_inverse(a: Coeff, field: CoefficientField) -> Coeff:
 def _cover(n: int) -> None:
     """Widen GUARDS, _VALUES and _LARGE_EXPONENTS to n fields."""
     global _covered, GUARDS, _VALUES, _LARGE_EXPONENTS
-    _covered = n
     GUARDS = int.from_bytes(b"\0\0\0\x80" * n, "little")
     _VALUES = GUARDS - (GUARDS >> (FIELD_BITS - 1))
     # with every exponent below 2^k, a degree is below _DEGREE_MODULUS
     k = max(0, (_DEGREE_MODULUS // n).bit_length() - 1)
     _LARGE_EXPONENTS = GUARDS - (GUARDS >> (FIELD_BITS - 1 - k))
+    _covered = n
 
 
 _cover(8)
