@@ -297,10 +297,15 @@ def mono_pairs(m: Monomial) -> list[tuple[int, int]]:
     """The (index, exponent) pairs of m's nonzero exponents, by index."""
     pairs, idx = [], 0
     while m:
-        if m & _FIELD:
-            pairs.append((idx, m & _FIELD))
-        m >>= FIELD_BITS
-        idx += 1
+        exp = m & _FIELD
+        if exp:
+            pairs.append((idx, exp))
+            m >>= FIELD_BITS
+            idx += 1
+        else:  # one shift past the zero fields below the lowest set bit
+            skip = ((m & -m).bit_length() - 1) // FIELD_BITS
+            m >>= FIELD_BITS * skip
+            idx += skip
     return pairs
 
 
@@ -413,14 +418,12 @@ class MonomialOrder(_Frozen):
 def _fields_reversed(variables: Sequence[int]):
     """A key that compares the exponents of variables, ascending, in lex
     order: their fields packed in reverse, the first variable's on top."""
-    first = variables[0] if variables else 0
-    span = (1 << (FIELD_BITS * (variables[-1] - first + 1))) - 1 if variables else 0
     top = FIELD_BITS * (len(variables) - 1)
-    shifts = {v - first: top - FIELD_BITS * i for i, v in enumerate(variables)}
+    shifts = {v: top - FIELD_BITS * i for i, v in enumerate(variables)}
 
     def key(m: Monomial) -> int:
         k = 0
-        for idx, exp in mono_pairs(m >> (FIELD_BITS * first) & span):
+        for idx, exp in mono_pairs(m):
             if idx in shifts:
                 k |= exp << shifts[idx]
         return k
@@ -502,8 +505,7 @@ class PolyRing(_Frozen):
     stores nothing.  No entry is evicted, since dropping a live ring would
     break identity equality."""
 
-    # _outside: the bits no monomial of the ring sets; a negative int, so
-    # every bit above the ring's fields is one of them
+    # _outside: the bits no monomial of the ring sets, all above its fields too
     __slots__ = ("field", "variables", "_index", "_hash", "_outside")
 
     def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
@@ -798,7 +800,7 @@ def print_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         c = f.terms[m]  # prime-field residues are never negative
         neg, mag = c < 0, str(abs(c))
         monom = "*".join(names[idx] if exp == 1 else f"{names[idx]}^{exp}" for idx, exp in mono_pairs(m))
-        body = monom if mag == "1" and monom else f"{mag}*{monom}" if monom else mag
+        body = mag if not monom else monom if mag == "1" else f"{mag}*{monom}"
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:
