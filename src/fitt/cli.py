@@ -57,13 +57,11 @@ from .rees import (
 from .verify import (
     POLICY_CORRECTED,
     POLICY_PAPER,
-    VerificationReport,
+    _chart_report,
     check_theorem41,
     corollary42_details,
-    fitting_index,
     image_details,
     nonnormality_probe,
-    policy_label,
     run_grid,
 )
 
@@ -199,9 +197,9 @@ def _presentation(ring: PolyRing, relations: Sequence, title: str = "", **head) 
     return payload, title + "ambient: " + ", ".join(ring.variables) + "\nrelations:\n" + text, 0
 
 
-def _report(report: VerificationReport, args) -> _Result:
-    """A thm41, cor42 or image report; the micali and image lines appear
-    when the report carries that check."""
+def _report(report, args) -> _Result:
+    """A thm41, cor42 or image VerificationReport; the micali and image
+    lines appear when the report carries that check."""
     timing = not args.no_timing
     lines = [f"{report.params.flag_string()} policy={report.policy} index={report.index_used}"]
     for c in report.charts:
@@ -292,23 +290,16 @@ def _cmd_verify_thm41(args) -> _Result:
     return _report(check_theorem41(_params_from_args(args), _policy_from_args(args)), args)
 
 
-def _chart_report(args, params: ReesParams, policy, details, **checks) -> _Result:
-    report = VerificationReport(
-        params, policy_label(policy), fitting_index(params, policy), list(details), **checks
-    )
-    return _report(report, args)
-
-
 def _cmd_verify_cor42(args) -> _Result:
     params, policy = _params_from_args(args), _policy_from_args(args)
     details = corollary42_details(params, policy)
-    return _chart_report(args, params, policy, details, corollary_ok=all(c.equal for c in details))
+    return _report(_chart_report(params, policy, details, corollary_ok=all(c.equal for c in details)), args)
 
 
 def _cmd_verify_image(args) -> _Result:
     params, policy = _params_from_args(args), _policy_from_args(args)
     ok, details = image_details(params, policy)
-    return _chart_report(args, params, policy, details, image_ok=ok)
+    return _report(_chart_report(params, policy, details, image_ok=ok), args)
 
 
 def _cmd_verify_nonnormal(args) -> _Result:

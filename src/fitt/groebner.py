@@ -24,9 +24,12 @@ _with_grevlex_basis and never computed.  Most other bases arrive already
 reduced (chart relations, eliminations), so the final interreduction reduces
 only an element with a tail term that another kept leading monomial divides.
 
-Every coefficient sum, in reduce and s_polynomial alike, is made by
-polyring.add_terms, so this module never sees how coefficients are stored:
-it asks the field for inverses and leaves sums and zeros to that kernel.
+This module never sees how coefficients are stored or how monomials are
+packed.  Every coefficient sum, in reduce and s_polynomial alike, is made
+by polyring.add_terms: it asks the field for inverses and leaves sums and
+zeros to that kernel.  Every monomial question goes to polyring's mono_*
+functions, a set of variables is the support mask of a monomial
+(mono_support), and a basis changes ring through Polynomial.transport.
 
 Leading terms are memoized per polynomial and order (see
 Polynomial.leading_term).  reduce computes a divisor's inverse only when
@@ -36,8 +39,8 @@ already cached, and each is built by _with_grevlex_basis: by the Elimination
 Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
 the block-free part of the reduced block-order basis, whose ties break by
 grevlex, is the reduced grevlex basis of the elimination ideal.  contract is
-the one place that moves it to a smaller ring, which needs the eliminated
-block last.
+the one place that moves it to a smaller ring, by transport, which needs the
+eliminated block last.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .polyring import (
     mono_degree,
     mono_div,
     mono_divides,
+    mono_from_pairs,
     mono_lcm,
-    mono_pairs,
     mono_support,
 )
 
@@ -271,17 +274,16 @@ def eliminate(I: Ideal, block: Iterable[Union[str, int]]) -> Ideal:
     """Generators of I intersected with the subring on the non-block variables,
     via a block order with the block largest, which is grevlex for an empty
     block.  The result stays in the ambient ring; its generators are the
-    block-free elements of the reduced block-order basis, so by the
-    Elimination Theorem they are the reduced grevlex basis of the result,
-    which is cached."""
+    elements of the reduced block-order basis whose leading monomial's
+    support misses the block's.  Under this order those are the block-free
+    ones, so by the Elimination Theorem they are the reduced grevlex basis
+    of the result, which is cached."""
     ring = I.ring
     indices = frozenset(ring.index(v) for v in block)
     order = MonomialOrder.elimination(indices)
-    kept = []
-    for g in I.groebner_basis(order):
-        lm, _ = g.leading_term(order)
-        if all(idx not in indices for idx, _ in mono_pairs(lm)):
-            kept.append(g)
+    block_support = mono_support(mono_from_pairs((i, 1) for i in indices))
+    basis = I.groebner_basis(order)
+    kept = [g for g in basis if not mono_support(g.leading_term(order)[0]) & block_support]
     return _with_grevlex_basis(ring, kept)
 
 
@@ -289,23 +291,12 @@ def _with_grevlex_basis(ring: PolyRing, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal of ring generated by basis, with its reduced grevlex basis
     cached as buchberger lists one: each element of basis made monic,
     ascending by leading monomial.  Those must be that reduced basis, known
-    without a run; when basis already lists it, it is also the generators.
-    contract may pass elements of a larger ring; they are carried over by
-    their terms."""
-    gens = [g if g.ring == ring else Polynomial(ring, g.terms) for g in basis]
-    ideal = Ideal(ring, gens)
+    without a run; when basis already lists it, it is also the generators."""
+    ideal = Ideal(ring, basis)
     key = ring.sort_key(GREVLEX)
     monic = [g.monic() for g in ideal.generators]
     ideal._gb[GREVLEX] = tuple(sorted(monic, key=lambda g: key(g.leading_term()[0])))
     return ideal
-
-
-def _lead_variables(basis: Sequence[Polynomial]) -> frozenset[int]:
-    """Indices of the variables that occur in some grevlex leading monomial
-    of basis.  A variable outside this set is a nonzerodivisor modulo the
-    ideal when basis is a Groebner basis of it: if x*f lies in the ideal for
-    f in normal form, some leading monomial divides x*lm(f), hence lm(f)."""
-    return frozenset(idx for g in basis for idx, _ in mono_pairs(g.leading_term(GREVLEX)[0]))
 
 
 def contract(I: Ideal, ring: PolyRing) -> Ideal:
@@ -318,15 +309,18 @@ def contract(I: Ideal, ring: PolyRing) -> Ideal:
     if ring.field != big.field or big.variables[:ring.nvars] != ring.variables:
         raise RingMismatchError(f"{ring} is not the leading variables of {big}")
     basis = eliminate(I, range(ring.nvars, big.nvars)).generators
-    return _with_grevlex_basis(ring, basis)
+    return _with_grevlex_basis(ring, [g.transport(ring) for g in basis])
 
 
 def saturate(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g^infinity).  For a single-term g whose variables occur in no
-    leading monomial of I's reduced grevlex basis, g is a nonzerodivisor
-    modulo I, so the saturation is I itself, returned with that basis as its
-    generators (see docs/chart_fitting.md); a nonzero constant has no
-    variables, so the certificate covers it.  Otherwise adjoin a fresh
+    """(I : g^infinity).  For a single-term g whose support meets the support
+    of no leading monomial of I's reduced grevlex basis, no variable of g
+    occurs in one, and g is a nonzerodivisor modulo I: for such a variable x
+    and a nonzero f in normal form, x*f in I would make some leading
+    monomial divide x*lm(f), hence lm(f), as it has no x.  The saturation is
+    then I itself, returned with that basis as its generators (see
+    docs/chart_fitting.md); a nonzero constant has empty support, so the
+    certificate covers it.  Otherwise adjoin a fresh
     variable w, form I + (w*g - 1), and contract back to the ring of I; when
     the certificate was tried, I enters through the basis it just read.
     Either way the generators are the reduced grevlex basis, which is
@@ -343,8 +337,12 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
         return cached
     basis = I.generators
     if len(g.terms) == 1:
+        (m,) = g.terms
         basis = I.groebner_basis()
-        if _lead_variables(basis).isdisjoint(idx for m in g.terms for idx, _ in mono_pairs(m)):
+        lead_support = 0
+        for h in basis:
+            lead_support |= mono_support(h.leading_term()[0])
+        if not lead_support & mono_support(m):
             sat = I._sat[g] = _with_grevlex_basis(ring, basis)
             return sat
     aux = ring.fresh_name("w")

@@ -730,14 +730,16 @@ class Polynomial(_Frozen):
         return Polynomial(ring, out)
 
     def transport(self, target: PolyRing) -> "Polynomial":
-        """Reinterpret in another ring, matching variables by name."""
+        """Reinterpret in another ring, matching variables by name; a variable
+        the target lacks raises UnknownVariableError."""
         if target is self.ring:
             return self
         if target.field != self.ring.field:
             raise RingMismatchError(f"cannot transport between {self.ring.field} and {target.field}")
         names = self.ring.variables
-        if target.variables[:len(names)] == names:
-            # every variable keeps its index, so every monomial its int
+        common = min(len(names), target.nvars)
+        if names[:common] == target.variables[:common] and not any(map(target._outside.__and__, self.terms)):
+            # every variable used keeps its index, so every monomial its int
             return Polynomial(target, self.terms)
         shifts = {}
         out: dict[Monomial, Coeff] = {}

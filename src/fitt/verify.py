@@ -173,9 +173,14 @@ def check_theorem41(params: ReesParams, policy: Policy = POLICY_CORRECTED) -> Ve
     kernel and the relations come from one memoized Rees presentation, so
     the kernel check reuses J's cached reduced basis."""
     charts = corollary42_details(params, policy)  # validates params first
-    report = VerificationReport(params, policy_label(policy), fitting_index(params, policy), charts)
-    report.micali_ok = ideal_equal(micali_kernel(params), rees_presentation(params).relations)
-    return report
+    micali_ok = ideal_equal(micali_kernel(params), rees_presentation(params).relations)
+    return _chart_report(params, policy, charts, micali_ok=micali_ok)
+
+
+def _chart_report(params: ReesParams, policy: Policy, charts: Sequence[ChartCheck], **checks) -> VerificationReport:
+    """The report of a thm41, cor42 or image check: its charts and the
+    checks it ran, under the index the policy gives."""
+    return VerificationReport(params, policy_label(policy), fitting_index(params, policy), list(charts), **checks)
 
 
 # ---------------------------------------------------------------------------

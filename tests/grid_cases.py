@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from fitt.cli import _read_lines
 from fitt.groebner import Ideal
 from fitt.polyring import PolyRing
 from fitt.rees import ReesParams
@@ -19,8 +20,8 @@ LARGE_FILE = GRID_DIR / "large.txt"
 
 
 def read_grid(path: Path) -> list[ReesParams]:
-    lines = (raw.split("#", 1)[0].strip() for raw in path.read_text(encoding="utf-8").splitlines())
-    return [ReesParams.parse(line) for line in lines if line]
+    """The tuples of a grid file, read with the CLI's comment rule."""
+    return [ReesParams.parse(line) for line in _read_lines(path)]
 
 
 def shipped_grid() -> list[ReesParams]:

@@ -155,12 +155,26 @@ class TestEliminate:
         assert got.generators == I.groebner_basis() != I.generators
         assert got._gb[GREVLEX] == got.generators
 
-    def test_result_free_of_block_variables(self, rxy):
-        got = eliminate(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
-        xidx = rxy.index("x")
+    @staticmethod
+    def _assert_block_free(I, block):
+        got = eliminate(I, block)
+        indices = {I.ring.index(v) for v in block}
         for g in got.generators:
-            assert all(idx != xidx for m in g.terms for idx, _ in mono_pairs(m))
+            assert all(idx not in indices for m in g.terms for idx, _ in mono_pairs(m))
         assert not got.is_zero()
+        return got
+
+    def test_result_free_of_block_variables(self, rxy):
+        self._assert_block_free(Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")]), ["x"])
+
+    def test_a_block_past_index_32(self):
+        # the twisted cubic in x33..x35 (indices 32..34); the block is t and x38, at 35 and 37
+        ring = PolyRing(QQ, [f"x{i}" for i in range(1, 36)] + ["t", "x37", "x38"])
+        I = Ideal(ring, [ring.parse(f"x{33 + k} - t^{k + 1}") for k in range(3)] + [ring.parse("x38*t - 1")])
+        got = self._assert_block_free(I, ["t", "x38"])
+        small = PolyRing(QQ, ("x33", "x34", "x35", "t", "x38"))
+        want = eliminate(Ideal(small, [g.transport(small) for g in I.generators]), ["t", "x38"])
+        assert got.generators == tuple(g.transport(ring) for g in want.generators)
 
     def test_by_position_as_by_name(self, rxy):
         I = Ideal(rxy, [rxy.parse("y - x^2"), rxy.parse("x*y - 1")])
@@ -574,22 +588,30 @@ def test_remainders_match_sympy(characteristic):
 # generators must give the same tuple.  Chart relations arrive unreduced, and
 # building a chart runs no buchberger at all.
 
-def _random_polynomial(rng, ring, max_degree):
-    """Up to three terms of total degree at most max_degree, with small
-    coefficients that are nonzero in the field; zero only when terms cancel."""
+def _random_monomial(rng, ring, degree, first=0):
+    """A monomial of the given total degree in the variables from index
+    first on."""
+    exps = [0] * ring.nvars
+    for _ in range(degree):
+        exps[first + rng.randrange(ring.nvars - first)] += 1
+    return mono_from_pairs(enumerate(exps))
+
+
+def _random_polynomial(rng, ring, max_degree, first=0):
+    """Up to three terms of total degree at most max_degree in the variables
+    from index first on, with small coefficients that are nonzero in the
+    field; zero only when terms cancel."""
     p = ring.field.characteristic
     pairs = []
     for _ in range(rng.randint(1, 3)):
-        exps = [0] * ring.nvars
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(ring.nvars)] += 1
+        mono = _random_monomial(rng, ring, rng.randint(0, max_degree), first)
         coeff = rng.randint(1, p - 1) if p else rng.choice((-3, -2, -1, 1, 2, 3))
-        pairs.append((mono_from_pairs(enumerate(exps)), coeff))
+        pairs.append((mono, coeff))
     return ring.from_terms(pairs)
 
 
-def _random_ideal(rng, ring):
-    return Ideal(ring, [_random_polynomial(rng, ring, 2) for _ in range(rng.randint(1, 2))])
+def _random_ideal(rng, ring, first=0):
+    return Ideal(ring, [_random_polynomial(rng, ring, 2, first) for _ in range(rng.randint(1, 2))])
 
 
 @pytest.mark.parametrize("characteristic", [0, 5])
@@ -768,18 +790,22 @@ class TestSaturationCertificate:
         assert len(calls) == 1
         assert got.generators == (ring.parse("x3"), ring.parse("x2"))
 
-    @pytest.mark.parametrize("characteristic", [2, 3, 0])
-    def test_matches_rabinowitsch_on_random_ideals(self, characteristic, monkeypatch):
-        ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+    @pytest.mark.parametrize(
+        "characteristic, first",
+        [(2, 0), (3, 0), (0, 0), (2, 32), (0, 32)],
+        ids=["2", "3", "0", "2-x33..x40", "0-x33..x40"],
+    )
+    def test_matches_rabinowitsch_on_random_ideals(self, characteristic, first, monkeypatch):
+        # the ideals and terms use the variables from index first on; at 32,
+        # in 40 variables, their fields lie past the 8 covered at import
+        names = [f"x{i}" for i in range(1, 41)] if first else ("x", "y", "z")
+        ring = PolyRing(CoefficientField(characteristic), names)
         rng = random.Random(7000 + characteristic)
         calls = _record_calls(monkeypatch, "eliminate")
         routes = {"certified": 0, "fallback": 0}
         for _ in range(60):
-            I = _random_ideal(rng, ring)
-            exps = [0] * ring.nvars
-            for _ in range(rng.randint(1, 3)):
-                exps[rng.randrange(ring.nvars)] += 1
-            g = ring.from_terms([(mono_from_pairs(enumerate(exps)), rng.choice((1, -1)))])
+            I = _random_ideal(rng, ring, first)
+            g = ring.from_terms([(_random_monomial(rng, ring, rng.randint(1, 3), first), rng.choice((1, -1)))])
             before = len(calls)
             got = saturate(I, g)
             routes["certified" if len(calls) == before else "fallback"] += 1

@@ -630,6 +630,32 @@ class TestRingIndex:
             eliminate(Ideal(rxy, [rxy.parse("x - y")]), [var])
 
 
+class TestTransport:
+    @pytest.mark.parametrize("pad", [0, 36], ids=["narrow", "wide"])
+    def test_to_the_leading_variables_keeps_every_int(self, pad):
+        names = [f"v{i}" for i in range(pad)] + ["x", "y"]
+        big = PolyRing(F5, names + ["z", "w"])
+        small = PolyRing(F5, names)
+        f = big.parse("x^2*y - 3*x + y^5 + 2")
+        got = f.transport(small)
+        assert got.ring is small and got == small.parse("x^2*y - 3*x + y^5 + 2")
+        assert list(got.terms.items()) == list(f.terms.items())
+        assert got.transport(big) == f
+
+    @pytest.mark.parametrize("pad", [0, 36], ids=["narrow", "wide"])
+    def test_a_dropped_variable_raises(self, pad):
+        names = [f"v{i}" for i in range(pad)] + ["x", "y"]
+        f = PolyRing(F5, names + ["z"]).parse("x*y + z")
+        with pytest.raises(UnknownVariableError):
+            f.transport(PolyRing(F5, names))
+
+    def test_a_moved_variable_takes_its_new_field(self):
+        f = PolyRing(F5, ("x", "y", "z")).parse("x*z^2 + y")
+        target = PolyRing(F5, ("x", "y", "w", "z"))
+        assert f.transport(target) == target.parse("x*z^2 + y")
+        assert f.transport(PolyRing(F5, ("z", "y", "x"))).transport(f.ring) == f
+
+
 class TestHashConsing:
     def test_equal_rings_are_one_object(self):
         R = PolyRing(CoefficientField(0), ["x", "y"])
