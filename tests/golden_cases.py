@@ -307,6 +307,14 @@ CASES = [
         0,
         True,
     ),
+    # seed 100's lex bases over Q exercise the exact-rational coefficient
+    # path hardest
+    (
+        "verify_props_seed100_json",
+        ["verify", "props", "--seed", "100", "--format", "json"],
+        0,
+        True,
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fitt import properties
+from fitt import groebner, properties
 from fitt.polyring import ONE_MONOMIAL, mono_from_pairs, mono_pairs
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
@@ -198,3 +198,29 @@ def test_instance_stream_is_pinned(monkeypatch):
         run_properties(seed)
     assert counts == {"poly": 11_855, "mono": 26_519}
     assert digest.hexdigest() == "45cf359620c09bcbebcf20817b64c47731ffd7c05cb970b822740c5621c7ebd2"
+
+
+def test_groebner_stream_is_pinned(monkeypatch):
+    """A digest of every buchberger call over the four seeds from
+    DEFAULT_SEED, in call order: the ring, the order's kind and sorted block,
+    and the generators and the basis as printed text; then each seed's suite
+    results.  An edit to the polynomial or Groebner kernels that changes one
+    basis, or the inputs a suite hands them, fails here."""
+    digest = hashlib.sha256()
+    calls = 0
+    real = groebner.buchberger
+
+    def buchberger(ring, generators, order=groebner.GREVLEX):
+        nonlocal calls
+        basis = real(ring, generators, order)
+        calls += 1
+        gens = "; ".join(map(str, generators))
+        digest.update(f"B {ring!r} {order.kind} {sorted(order.block)} [{gens}] -> [{'; '.join(map(str, basis))}]\n".encode())
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    for seed in range(DEFAULT_SEED, DEFAULT_SEED + 4):
+        for r in run_properties(seed):
+            digest.update(f"S {seed} {(r.name, r.trials, r.failures, r.notes)!r}\n".encode())
+    assert calls == 3_093
+    assert digest.hexdigest() == "f39b72357644c8d296f61c1e642a794a9a6b86d2ef5c37da29a61731ea62c1b1"
