@@ -56,6 +56,7 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     _Frozen,
+    _set_lead,
     add_terms,
     mono_degree,
     mono_div,
@@ -77,7 +78,7 @@ class Ideal(_Frozen):
         for g in generators:
             if g.ring != ring:
                 raise RingMismatchError(f"generator in {g.ring}, ideal in {ring}")
-            if not g.is_zero and g not in gens:
+            if g.terms and g not in gens:
                 gens.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
@@ -109,14 +110,15 @@ class Ideal(_Frozen):
 def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
     """Normal form of f against basis: no remainder term is divisible by any
     basis leading term, and f minus the result lies in the ideal the basis
-    generates."""
+    generates.  The remainder's monomials come off work largest first, so
+    the first one is the result's leading monomial, memoized under order."""
     ring = f.ring
     field = ring.field
     divisors = []
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError(f"reducer in {g.ring}, dividend in {ring}")
-        if not g.is_zero:
+        if g.terms:
             lm, lc = g.leading_term(order)
             divisors.append((lm, lc, g.terms))
     work = dict(f.terms)
@@ -127,12 +129,15 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
         c = work[m]
         for lm, lc, gterms in divisors:
             if mono_divides(lm, m):
-                add_terms(work, -c * field.inverse(lc), mono_div(m, lm), gterms, field)
+                add_terms(work, -c if lc == 1 else -c * field.inverse(lc), mono_div(m, lm), gterms, field)
                 break
         else:
             remainder[m] = c
             del work[m]
-    return Polynomial(ring, remainder)
+    result = Polynomial(ring, remainder)
+    if remainder:
+        _set_lead(result, (order, next(iter(remainder))))
+    return result
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:

@@ -463,22 +463,32 @@ def add_terms(
     field: CoefficientField,
 ) -> dict[Monomial, Coeff]:
     """out += a * x^shift * terms, in place, and return out.  a and the
-    coefficients are field elements, a nonzero.  Sums are reduced mod p, or
-    kept exact over Q, and a monomial whose sum is zero is removed from out."""
+    coefficients are field elements, a nonzero.  Sums and products are reduced
+    mod p, or exact over Q with an integral one an int (_rational); a zero sum
+    is removed.  a = 1 multiplies nothing, and a new monomial takes c as is."""
     p = field.characteristic
     get = out.get
     guards = GUARDS
+    scaled = a != 1
     for m, c in terms.items():
         if shift:
             m += shift
             if m & guards:
                 _overflow(m)
+        if scaled:
+            c = a * c
         v = get(m)
-        v = a * c if v is None else v + a * c
+        if v is not None:
+            c += v
+        elif not scaled:
+            out[m] = c
+            continue
         if p:
-            v %= p
-        if v:
-            out[m] = v
+            c %= p
+        elif c.__class__ is Fraction and c.denominator == 1:
+            c = c.numerator
+        if c:
+            out[m] = c
         else:
             out.pop(m, None)
     return out
@@ -506,7 +516,7 @@ class PolyRing(_Frozen):
     break identity equality."""
 
     # _outside: the bits no monomial of the ring sets, all above its fields too
-    __slots__ = ("field", "variables", "_index", "_hash", "_outside")
+    __slots__ = ("field", "variables", "_nvars", "_index", "_hash", "_outside")
 
     def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
         names = tuple(variables)
@@ -527,6 +537,7 @@ class PolyRing(_Frozen):
         ring = object.__new__(cls)
         object.__setattr__(ring, "field", field)
         object.__setattr__(ring, "variables", names)
+        object.__setattr__(ring, "_nvars", len(names))
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(ring, "_hash", hash((field, names)))
         if len(names) > _covered:
@@ -537,7 +548,7 @@ class PolyRing(_Frozen):
 
     @property
     def nvars(self) -> int:
-        return len(self.variables)
+        return self._nvars
 
     def index(self, var: Union[str, int]) -> int:
         """The position of a variable given by name or by position; an unknown
@@ -558,7 +569,7 @@ class PolyRing(_Frozen):
         return f"{self.field}[{','.join(self.variables)}]"
 
     def sort_key(self, order: MonomialOrder):
-        return order.key_function(self.nvars)
+        return order.key_function(self._nvars)
 
     # construction helpers
 
@@ -569,7 +580,8 @@ class PolyRing(_Frozen):
         return self.constant(1)
 
     def constant(self, c: Union[int, Fraction]) -> "Polynomial":
-        return self.term(c, ONE_MONOMIAL)
+        c = self.field.normalize(c)
+        return Polynomial(self, {ONE_MONOMIAL: c} if c else {})
 
     def variable(self, var: Union[str, int]) -> "Polynomial":
         return Polynomial(self, {1 << (FIELD_BITS * self.index(var)): self.field.normalize(1)})
@@ -584,12 +596,15 @@ class PolyRing(_Frozen):
             if type(mono) is not int or mono & self._outside:
                 if type(mono) is not int:
                     raise TypeError(f"a monomial is an int, not {type(mono).__name__}; see mono_from_pairs")
-                if mono < 0 or mono >> (FIELD_BITS * self.nvars):
-                    raise ValueError(f"{mono} is not a monomial in the {self.nvars} variables of {self}")
+                if mono < 0 or mono >> (FIELD_BITS * self._nvars):
+                    raise ValueError(f"{mono} is not a monomial in the {self._nvars} variables of {self}")
                 _overflow(mono)
-            acc[mono] = acc.get(mono, 0) + f.normalize(coeff)
-        # one normalization of each sum, which also drops the zeros
-        return Polynomial(self, add_terms({}, 1, ONE_MONOMIAL, acc, f))
+            c = f.normalize(coeff)
+            if mono in acc:  # a repeated monomial's sum is made by add_terms
+                add_terms(acc, 1, ONE_MONOMIAL, {mono: c}, f)
+            elif c:
+                acc[mono] = c
+        return Polynomial(self, acc)
 
     def extended(self, extra: Iterable[str]) -> "PolyRing":
         return PolyRing(self.field, self.variables + tuple(extra))
@@ -667,25 +682,27 @@ class Polynomial(_Frozen):
         return Polynomial(self.ring, out)
 
     def __pow__(self, e: int) -> "Polynomial":
-        if not isinstance(e, int):
+        if not isinstance(e, int) or isinstance(e, bool):  # a bool is an int
             raise TypeError(f"a polynomial power must be an int, not {type(e).__name__}")
         if e < 0:
             raise ValueError("negative polynomial power")
-        if e and len(self.terms) == 1:
+        if not e:
+            return self.ring.one()
+        if len(self.terms) == 1:
             # a single term: (c*m)^e = c^e * m^e, with no repeated squaring
             ((m, c),) = self.terms.items()
             p = self.ring.field.characteristic
             mono = mono_from_pairs((idx, exp * e) for idx, exp in mono_pairs(m))
             return Polynomial(self.ring, {mono: pow(c, e, p) if p else c**e})
-        result = self.ring.one()
+        result = None  # square and multiply, starting at the lowest power taken
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def scale(self, c: Union[int, Fraction]) -> "Polynomial":
         field = self.ring.field
@@ -762,17 +779,23 @@ class Polynomial(_Frozen):
             if img.ring is not target:
                 raise RingMismatchError(f"image of {name!r} lives in {img.ring}, not {target}")
         names = self.ring.variables
-        images: dict[int, Polynomial] = {}
-        result = target.zero()
+        field = target.field
+        # the term map of each image power, by (index, exponent)
+        powers: dict[tuple[int, int], dict[Monomial, Coeff]] = {}
+        out: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            term = target.constant(c)
+            term = {ONE_MONOMIAL: c}
             for idx, exp in mono_pairs(m):
-                img = images.get(idx)
-                if img is None:
-                    img = images[idx] = mapping.get(names[idx]) or target.variable(names[idx])
-                term = term * img ** exp
-            result = result + term
-        return result
+                power = powers.get((idx, exp))
+                if power is None:
+                    img = mapping.get(names[idx]) or target.variable(names[idx])
+                    power = powers[idx, exp] = (img ** exp).terms
+                product: dict[Monomial, Coeff] = {}
+                for tm, tc in term.items():
+                    add_terms(product, tc, tm, power, field)
+                term = product
+            add_terms(out, 1, ONE_MONOMIAL, term, field)
+        return Polynomial(target, out)
 
     def __str__(self) -> str:
         return print_polynomial(self)
@@ -867,7 +890,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             if not take("*"):
                 return mono
 
-    def parse_term(sign: int) -> Polynomial:
+    def parse_term(sign: int) -> tuple[Monomial, Coeff]:
         nonlocal at
         pos, _, tok = tokens[at]
         if tok in ("+", "-"):
@@ -886,19 +909,20 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             else:
                 coeff = fld.normalize(num)
             mono = parse_monomial() if take("*") else ONE_MONOMIAL
-            return ring.term(coeff if sign > 0 else -coeff, mono)
+            return mono, coeff if sign > 0 else -coeff
         if kind == "name":
-            return ring.term(sign, parse_monomial())
+            return parse_monomial(), sign
         raise ParseError("expected a term", pos)
 
     if len(tokens) == 1:
         raise ParseError("empty input", len(text))
-    result = parse_term(1)
+    # the terms' (monomial, coefficient) pairs, summed by one from_terms
+    pairs = [parse_term(1)]
     while True:
         pos, kind, tok = tokens[at]
         if kind is None:
-            return result
+            return ring.from_terms(pairs)
         if tok not in ("+", "-"):
             raise ParseError(f"unexpected character {tok[0]!r}", pos)
         at += 1
-        result = result + parse_term(1 if tok == "+" else -1)
+        pairs.append(parse_term(1 if tok == "+" else -1))

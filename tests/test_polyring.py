@@ -28,6 +28,7 @@ from fitt.polyring import (
     MonomialOrder,
     ParseError,
     PolyRing,
+    Polynomial,
     RingMismatchError,
     UnknownVariableError,
     _KeyTable,
@@ -200,8 +201,10 @@ class TestArithmetic:
 
     def test_int_and_integral_fraction_coefficients_agree(self, rxy):
         three = rxy.parse("3*x")
-        halved = rxy.parse("3/2*x").scale(2)  # 2 * Fraction(3, 2) is Fraction(3, 1)
         x = mono_from_pairs(((0, 1),))
+        # fitt stores an integral rational as an int, so the raw constructor
+        # builds the integral Fraction operand
+        halved = Polynomial(rxy, {x: Fraction(3, 1)})
         assert type(three.terms[x]) is int and type(halved.terms[x]) is Fraction
         assert halved == three and hash(halved) == hash(three)
         assert str(halved) == str(three) == "3*x"
@@ -228,6 +231,13 @@ class TestArithmetic:
         f = PolyRing(field, ("x", "y")).parse(text)
         with pytest.raises(TypeError, match="must be an int, not float"):
             f ** 2.0
+
+    @pytest.mark.parametrize("exponent", [True, False])
+    @pytest.mark.parametrize("text", ["x", "x + y"], ids=["term", "sum"])
+    def test_a_bool_power_is_a_type_error(self, rxy, text, exponent):
+        # as PolyRing.index, CoefficientField and ReesParams refuse a bool
+        with pytest.raises(TypeError, match="must be an int, not bool"):
+            rxy.parse(text) ** exponent
 
     def test_single_term_power_past_the_cap_raises(self):
         ring = PolyRing(F5, ("x", "y"))
