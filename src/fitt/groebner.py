@@ -56,7 +56,6 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     _Frozen,
-    _set_lead,
     add_terms,
     mono_degree,
     mono_div,
@@ -110,8 +109,7 @@ class Ideal(_Frozen):
 def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
     """Normal form of f against basis: no remainder term is divisible by any
     basis leading term, and f minus the result lies in the ideal the basis
-    generates.  The remainder's monomials come off work largest first, so
-    the first one is the result's leading monomial, memoized under order."""
+    generates."""
     ring = f.ring
     field = ring.field
     divisors = []
@@ -129,15 +127,12 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
         c = work[m]
         for lm, lc, gterms in divisors:
             if mono_divides(lm, m):
-                add_terms(work, -c if lc == 1 else -c * field.inverse(lc), mono_div(m, lm), gterms, field)
+                add_terms(work, -c * field.inverse(lc), mono_div(m, lm), gterms, field)
                 break
         else:
             remainder[m] = c
             del work[m]
-    result = Polynomial(ring, remainder)
-    if remainder:
-        _set_lead(result, (order, next(iter(remainder))))
-    return result
+    return Polynomial(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:

@@ -516,7 +516,7 @@ class PolyRing(_Frozen):
     break identity equality."""
 
     # _outside: the bits no monomial of the ring sets, all above its fields too
-    __slots__ = ("field", "variables", "_nvars", "_index", "_hash", "_outside")
+    __slots__ = ("field", "variables", "_index", "_hash", "_outside")
 
     def __new__(cls, field: CoefficientField, variables: Iterable[str]) -> "PolyRing":
         names = tuple(variables)
@@ -537,7 +537,6 @@ class PolyRing(_Frozen):
         ring = object.__new__(cls)
         object.__setattr__(ring, "field", field)
         object.__setattr__(ring, "variables", names)
-        object.__setattr__(ring, "_nvars", len(names))
         object.__setattr__(ring, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(ring, "_hash", hash((field, names)))
         if len(names) > _covered:
@@ -548,7 +547,7 @@ class PolyRing(_Frozen):
 
     @property
     def nvars(self) -> int:
-        return self._nvars
+        return len(self.variables)
 
     def index(self, var: Union[str, int]) -> int:
         """The position of a variable given by name or by position; an unknown
@@ -569,7 +568,7 @@ class PolyRing(_Frozen):
         return f"{self.field}[{','.join(self.variables)}]"
 
     def sort_key(self, order: MonomialOrder):
-        return order.key_function(self._nvars)
+        return order.key_function(self.nvars)
 
     # construction helpers
 
@@ -596,8 +595,8 @@ class PolyRing(_Frozen):
             if type(mono) is not int or mono & self._outside:
                 if type(mono) is not int:
                     raise TypeError(f"a monomial is an int, not {type(mono).__name__}; see mono_from_pairs")
-                if mono < 0 or mono >> (FIELD_BITS * self._nvars):
-                    raise ValueError(f"{mono} is not a monomial in the {self._nvars} variables of {self}")
+                if mono < 0 or mono >> (FIELD_BITS * self.nvars):
+                    raise ValueError(f"{mono} is not a monomial in the {self.nvars} variables of {self}")
                 _overflow(mono)
             c = f.normalize(coeff)
             if mono in acc:  # a repeated monomial's sum is made by add_terms
@@ -780,21 +779,18 @@ class Polynomial(_Frozen):
                 raise RingMismatchError(f"image of {name!r} lives in {img.ring}, not {target}")
         names = self.ring.variables
         field = target.field
-        # the term map of each image power, by (index, exponent)
-        powers: dict[tuple[int, int], dict[Monomial, Coeff]] = {}
+        # each image power, by (index, exponent)
+        powers: dict[tuple[int, int], Polynomial] = {}
         out: dict[Monomial, Coeff] = {}
         for m, c in self.terms.items():
-            term = {ONE_MONOMIAL: c}
+            term = None
             for idx, exp in mono_pairs(m):
                 power = powers.get((idx, exp))
                 if power is None:
                     img = mapping.get(names[idx]) or target.variable(names[idx])
-                    power = powers[idx, exp] = (img ** exp).terms
-                product: dict[Monomial, Coeff] = {}
-                for tm, tc in term.items():
-                    add_terms(product, tc, tm, power, field)
-                term = product
-            add_terms(out, 1, ONE_MONOMIAL, term, field)
+                    power = powers[idx, exp] = img ** exp
+                term = power if term is None else term * power
+            add_terms(out, c, ONE_MONOMIAL, {ONE_MONOMIAL: 1} if term is None else term.terms, field)
         return Polynomial(target, out)
 
     def __str__(self) -> str:

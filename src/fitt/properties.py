@@ -7,9 +7,8 @@ each suite off one run seed, so a run is reproducible end to end.  Suites
 return trial/failure counts; the CLI and the test suite both consume them.
 
 Every integer draw goes through the module's own getrandbits helper _below,
-with _randint and _choice on top of it, or through its loop written out in
-_rand_monomial and _rand_poly, the hottest draws.  They read the same bits
-as Random.randint, choice and randrange and return the same numbers, so the
+with _randint and _choice on top of it.  They read the same bits as
+Random.randint, choice and randrange and return the same numbers, so the
 instances are fixed by fitt's code rather than by the interpreter's randint;
 tests/test_properties.py checks the helpers against Random and pins the
 instance stream with a digest.  Random.random is called as it is.
@@ -117,17 +116,13 @@ def _rand_monomial(rng: random.Random, nvars: int, max_deg: int, min_deg: int = 
         raise ValueError(
             f"no monomial in {nvars} variables has degree {min_deg}..{max_deg}"
         )
-    getrandbits = rng.getrandbits
     while True:
         mono = 0
         total = budget = min_deg + _below(rng, max_deg - min_deg + 1)
         for idx in range(nvars):
             if budget <= 0:
                 break
-            k = (budget + 1).bit_length()  # _below(rng, budget + 1), inlined
-            e = getrandbits(k)
-            while e > budget:
-                e = getrandbits(k)
+            e = _below(rng, budget + 1)
             if e:
                 # packed as mono_from_pairs packs it; e is at most max_deg
                 mono |= e << (FIELD_BITS * idx)
@@ -145,10 +140,8 @@ def _rand_poly(
 ) -> Polynomial:
     terms = []
     for _ in range(_randint(rng, 1, max_terms)):
-        c = rng.getrandbits(4)  # _randint(rng, -4, 4), inlined: a draw below 9
-        while c >= 9:
-            c = rng.getrandbits(4)
-        terms.append((_rand_monomial(rng, ring.nvars, max_deg, min_deg), c - 4))
+        c = _randint(rng, -4, 4)
+        terms.append((_rand_monomial(rng, ring.nvars, max_deg, min_deg), c))
     return ring.from_terms(terms)
 
 

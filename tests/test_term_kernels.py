@@ -202,31 +202,6 @@ def test_parse_outcomes_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# reduce's leading-term memo
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex", "block"])
-def test_reduce_memoizes_the_true_leading_monomial(field, order):
-    rng = random.Random(f"reduce {field} {order.kind}")
-    ring = PolyRing(field, ("x", "y", "z"))
-    key = ring.sort_key(order)
-    multi = 0
-    for _ in range(100):
-        # any divisors will do, and no Buchberger run reads the memo first
-        basis = [_poly(rng, ring, size=3, max_deg=2) for _ in range(2)]
-        r = reduce(_poly(rng, ring, size=6, max_deg=4), basis, order)
-        if not r.terms:
-            continue
-        multi += len(r.terms) > 1
-        lm = max(r.terms, key=key)
-        assert r.leading_term(order) == (lm, r.terms[lm])
-        for other in ORDERS:  # a query under another order rescans
-            assert r.leading_term(other)[0] == max(r.terms, key=ring.sort_key(other))
-    assert multi >= 20
-
-
-# ---------------------------------------------------------------------------
 # Over Q an integral coefficient is an int
 
 
