@@ -32,8 +32,11 @@ functions, a set of variables is the support mask of a monomial
 (mono_support), and a basis changes ring through Polynomial.transport.
 
 Leading terms are memoized per polynomial and order (see
-Polynomial.leading_term).  reduce computes a divisor's inverse only when
-that divisor divides.  Every ideal that eliminate, contract, saturate or
+Polynomial.leading_term); a monic multiple keeps its input's, so buchberger
+scans each pushed element's terms once.  reduce computes a divisor's inverse
+only when that divisor divides.  An Ideal's slots are stored through their
+own setters, and its repeated generators dropped by comparing term maps once
+each has passed the ring check.  Every ideal that eliminate, contract, saturate or
 ideal_intersect returns has its reduced grevlex basis as its generators,
 already cached, and each is built by _with_grevlex_basis: by the Elimination
 Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, section 3.1)
@@ -74,15 +77,22 @@ class Ideal(_Frozen):
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial] = ()):
         gens = []
+        seen = []  # the term maps of gens: all in ring, so equal maps are equal polynomials
         for g in generators:
-            if g.ring != ring:
-                raise RingMismatchError(f"generator in {g.ring}, ideal in {ring}")
-            if g.terms and g not in gens:
+            try:
+                g_ring = g.ring
+            except AttributeError:
+                raise TypeError(f"a generator must be a polynomial, not {type(g).__name__}; use ring.constant(...)") from None
+            if g_ring != ring:
+                raise RingMismatchError(f"generator in {g_ring}, ideal in {ring}")
+            t = g.terms
+            if t and t not in seen:
+                seen.append(t)
                 gens.append(g)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_gb", {})
-        object.__setattr__(self, "_sat", {})
+        _set_ring(self, ring)
+        _set_generators(self, tuple(gens))
+        _set_gb(self, {})
+        _set_sat(self, {})
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         gb = self._gb.get(order)
@@ -103,6 +113,10 @@ class Ideal(_Frozen):
         return f"ideal({gens}) of {self.ring}"
 
 
+# The slots' own setters, as for Polynomial (see polyring).
+_set_ring, _set_generators, _set_gb, _set_sat = (s.__set__ for s in (Ideal.ring, Ideal.generators, Ideal._gb, Ideal._sat))
+
+
 # ---------------------------------------------------------------------------
 # Division
 
@@ -114,8 +128,12 @@ def reduce(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     field = ring.field
     divisors = []
     for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError(f"reducer in {g.ring}, dividend in {ring}")
+        try:
+            g_ring = g.ring
+        except AttributeError:
+            raise TypeError(f"a reducer must be a polynomial, not {type(g).__name__}; use ring.constant(...)") from None
+        if g_ring != ring:
+            raise RingMismatchError(f"reducer in {g_ring}, dividend in {ring}")
         if g.terms:
             lm, lc = g.leading_term(order)
             divisors.append((lm, lc, g.terms))
@@ -165,7 +183,6 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     monic, the reduced basis of the zero or principal ideal.  The
     final interreduction skips an element none of whose tail terms a kept
     leading monomial divides: it is already monic and reduced."""
-    key = ring.sort_key(order)
     G: list[Polynomial] = []
     lts: list[Monomial] = []
     sups: list[int] = []  # the support of each leading monomial
@@ -177,7 +194,7 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     pending: set[tuple[int, int]] = set()
 
     def push(f: Polynomial) -> None:
-        f = f.monic(order)
+        f = f.monic(order)  # finds the leading term, which the monic f keeps
         j = len(G)
         G.append(f)
         lt = f.leading_term(order)[0]
@@ -193,7 +210,7 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     for g in generators:
         if g.is_unit_constant():
             return (ring.one(),)
-        if not g.is_zero:
+        if g.terms:
             push(g)
     if len(G) <= 1:
         return tuple(G)
@@ -202,7 +219,6 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
         _, i, j, lcm_ij = heapq.heappop(queue)
         pending.discard((i, j))
         sup = sups[i] | sups[j]  # the support of lcm_ij
-        skip = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
@@ -210,21 +226,23 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = reduce(s_polynomial(G[i], G[j], order), G, order)
-        if r.is_unit_constant():
-            return (ring.one(),)
-        if not r.is_zero:
-            push(r)
+                    break  # the chain criterion skips the pair
+        else:
+            r = reduce(s_polynomial(G[i], G[j], order), G, order)
+            if r.is_unit_constant():
+                return (ring.one(),)
+            if r.terms:
+                push(r)
 
     # minimal basis: drop elements whose leading term another one divides
-    order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
+    keys = list(map(ring.sort_key(order), lts))
     kept: list[int] = []
-    for i in order_idx:
-        if not any(mono_divides(lts[k], lts[i]) for k in kept):
+    for i in sorted(range(len(G)), key=keys.__getitem__):
+        lt, sup = lts[i], sups[i]
+        for k in kept:
+            if sups[k] | sup == sup and mono_divides(lts[k], lt):
+                break
+        else:
             kept.append(i)
     minimal = [G[i] for i in kept]
     kept_lts = [lts[i] for i in kept]
@@ -233,8 +251,16 @@ def buchberger(ring: PolyRing, generators: Sequence[Polynomial], order: Monomial
     reduced = []
     for i, g in enumerate(minimal):
         lt = kept_lts[i]
-        if any(mono_divides(d, m) for m in g.terms if m != lt for d in kept_lts):
-            g = reduce(g, minimal[:i] + minimal[i + 1:], order).monic(order)
+        for m in g.terms:
+            if m == lt:
+                continue
+            for d in kept_lts:
+                if mono_divides(d, m):
+                    g = reduce(g, minimal[:i] + minimal[i + 1:], order).monic(order)
+                    break
+            else:
+                continue
+            break
         reduced.append(g)
     # still ascending: no kept leading term divides another, so reduce keeps each one
     return tuple(reduced)
@@ -248,12 +274,12 @@ def ideal_member(f: Polynomial, I: Ideal, order: MonomialOrder = GREVLEX) -> boo
     (1), f is a member without a reduction."""
     if f.ring != I.ring:
         raise RingMismatchError(f"element in {f.ring}, ideal in {I.ring}")
-    if f.is_zero:
+    if not f.terms:
         return True
     gb = I.groebner_basis(order)
     if len(gb) == 1 and gb[0].is_unit_constant():
         return True
-    return reduce(f, gb, order).is_zero
+    return not reduce(f, gb, order).terms
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
@@ -330,7 +356,7 @@ def saturate(I: Ideal, g: Polynomial) -> Ideal:
     ring = I.ring
     if g.ring != ring:
         raise RingMismatchError(f"element in {g.ring}, ideal in {ring}")
-    if g.is_zero:
+    if not g.terms:
         raise ValueError("cannot saturate at 0")
     cached = I._sat.get(g)
     if cached is not None:

@@ -568,7 +568,7 @@ class PolyRing(_Frozen):
         return f"{self.field}[{','.join(self.variables)}]"
 
     def sort_key(self, order: MonomialOrder):
-        return order.key_function(self.nvars)
+        return order.key_function(len(self.variables))
 
     # construction helpers
 
@@ -624,7 +624,8 @@ class Polynomial(_Frozen):
     """Immutable sparse polynomial: a map from monomials to nonzero coefficients.
 
     The leading monomial of the last order asked for is memoized as
-    (order, monomial); a query under another order rescans the terms."""
+    (order, monomial); a query under another order rescans the terms.  scale,
+    and so monic, hands the memo on: a unit multiple keeps every monomial."""
 
     __slots__ = ("ring", "terms", "_hash", "_lead")
 
@@ -708,7 +709,9 @@ class Polynomial(_Frozen):
         c = field.normalize(c)
         if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, add_terms({}, c, ONE_MONOMIAL, self.terms, field))
+        out = Polynomial(self.ring, add_terms({}, c, ONE_MONOMIAL, self.terms, field))
+        _set_lead(out, self._lead)  # a unit multiple keeps every monomial
+        return out
 
     def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         lead = self._lead
@@ -717,7 +720,7 @@ class Polynomial(_Frozen):
         else:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = max(self.terms, key=self.ring.sort_key(order))
+            m = max(self.terms, key=order.key_function(len(self.ring.variables)))
             _set_lead(self, (order, m))
         return m, self.terms[m]
 

@@ -138,10 +138,11 @@ def _rand_poly(
     max_deg: int = 3,
     min_deg: int = 0,
 ) -> Polynomial:
+    nvars = ring.nvars
     terms = []
     for _ in range(_randint(rng, 1, max_terms)):
         c = _randint(rng, -4, 4)
-        terms.append((_rand_monomial(rng, ring.nvars, max_deg, min_deg), c))
+        terms.append((_rand_monomial(rng, nvars, max_deg, min_deg), c))
     return ring.from_terms(terms)
 
 

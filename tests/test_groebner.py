@@ -26,6 +26,7 @@ from fitt.polyring import (
     ExponentOverflowError,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     RingMismatchError,
     UnknownVariableError,
     mono_div,
@@ -958,3 +959,72 @@ class TestUnitIdealExits:
         reduces = _record_calls(monkeypatch, "reduce")
         assert ideal_member(rxy.parse("y^3 + x"), I, order)
         assert reduces == []
+
+
+class TestGeneratorChecks:
+    @pytest.mark.parametrize("bad", [1, None, "x"], ids=["int", "None", "str"])
+    def test_a_generator_that_is_not_a_polynomial_raises_type_error(self, rxy, bad):
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+            Ideal(rxy, [rxy.parse("x"), bad])
+
+    @pytest.mark.parametrize("bad", [1, None, "x"], ids=["int", "None", "str"])
+    def test_a_reducer_that_is_not_a_polynomial_raises_type_error(self, rxy, bad):
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}"):
+            reduce(rxy.parse("x*y"), [rxy.parse("x"), bad])
+
+
+def _old_dedupe(generators):
+    """The rule Ideal used to drop zero and repeated generators, comparing
+    polynomials with Polynomial.__eq__: the oracle for its term-map test."""
+    gens = []
+    for g in generators:
+        if g.terms and g not in gens:
+            gens.append(g)
+    return tuple(gens)
+
+
+class TestGeneratorDedupe:
+    """Ideal keeps the first occurrence of each nonzero generator, comparing
+    term maps once the ring check has passed, just as the old rule did."""
+
+    def assert_matches_the_old_rule(self, ring, generators):
+        kept = Ideal(ring, generators).generators
+        expected = _old_dedupe(generators)
+        assert len(kept) == len(expected) and all(a is b for a, b in zip(kept, expected)), generators
+
+    @pytest.mark.parametrize("characteristic", [2, 5])
+    def test_matches_the_old_rule_over_prime_fields(self, characteristic):
+        rng = random.Random(characteristic)
+        ring = PolyRing(CoefficientField(characteristic), ("x", "y", "z"))
+        monomials = [mono_from_pairs(((rng.randrange(3), rng.randint(0, 2)),)) for _ in range(4)]
+        for _ in range(300):
+            pool = [ring.zero()] + [
+                ring.from_terms((rng.choice(monomials), rng.randint(0, 4)) for _ in range(rng.randint(1, 2)))
+                for _ in range(4)
+            ]
+            # repeats as the same object and as an equal copy of it
+            gens = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+            gens = [Polynomial(ring, dict(g.terms)) if rng.random() < 0.5 else g for g in gens]
+            self.assert_matches_the_old_rule(ring, gens)
+
+    def test_an_int_and_an_equal_integral_fraction_are_one_generator(self, rxy):
+        rng = random.Random(7)
+        x, y = mono_from_pairs(((0, 1),)), mono_from_pairs(((1, 1),))
+        for _ in range(100):
+            gens = []
+            for _ in range(rng.randint(1, 8)):
+                c = rng.randint(-2, 2) or 1
+                terms = {x: Fraction(c) if rng.random() < 0.5 else c}
+                if rng.random() < 0.5:
+                    terms[y] = 1
+                gens.append(Polynomial(rxy, terms))  # the raw constructor keeps a Fraction
+            self.assert_matches_the_old_rule(rxy, gens)
+        three, three_fraction = Polynomial(rxy, {x: 3}), Polynomial(rxy, {x: Fraction(3, 1)})
+        assert Ideal(rxy, [three_fraction, three]).generators[0] is three_fraction
+
+    @pytest.mark.parametrize("other", [(0, ("x", "y", "z")), (5, ("x", "y"))], ids=["wider", "F_5"])
+    def test_a_repeat_from_another_ring_still_raises(self, rxy, other):
+        f = rxy.parse("x*y + 1")
+        twin = Polynomial(PolyRing(CoefficientField(other[0]), other[1]), dict(f.terms))
+        with pytest.raises(RingMismatchError):
+            Ideal(rxy, [f, twin])

@@ -753,6 +753,14 @@ class TestLeadingTermMemo:
             f.leading_term(order)
             self.assert_leads(f.scale(-2))
 
+    def test_scale_and_monic_carry_the_lead(self, f):
+        # a unit multiple keeps every monomial, so the lead found on f is
+        # not looked for again (buchberger reads it right after monic)
+        for order in self.ORDERS[:3]:
+            lead = (order, f.leading_term(order)[0])
+            for g in (f.scale(3), f.monic(order)):
+                assert g is not f and g._lead == lead, order
+
 
 class TestParsePrint:
     def test_rees_binomial(self):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from fitt import groebner, properties
-from fitt.polyring import ONE_MONOMIAL, mono_from_pairs, mono_pairs
+from fitt.polyring import GREVLEX, ONE_MONOMIAL, Polynomial, mono_from_pairs, mono_pairs
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
 
@@ -224,3 +224,52 @@ def test_groebner_stream_is_pinned(monkeypatch):
             digest.update(f"S {seed} {(r.name, r.trials, r.failures, r.notes)!r}\n".encode())
     assert calls == 3_093
     assert digest.hexdigest() == "f39b72357644c8d296f61c1e642a794a9a6b86d2ef5c37da29a61731ea62c1b1"
+
+
+def test_buchberger_scans_each_lead_once(monkeypatch):
+    """Over the four seeds from DEFAULT_SEED, no element that buchberger
+    makes monic, each pushed one included, has its leading term scanned
+    twice under the call's order: monic finds it on its input, and the monic
+    result keeps it.  Nor is any polynomial scanned twice in one call.  A
+    scan is a leading_term call that stores a new memo."""
+    real_lead, real_monic, real_buchberger = Polynomial.leading_term, Polynomial.monic, groebner.buchberger
+    scans: dict[int, int] = {}
+    pairs: list[tuple[Polynomial, Polynomial]] = []  # also keeps every id alive
+    active = False
+
+    def leading_term(self, order=GREVLEX):
+        before = self._lead
+        lead = real_lead(self, order)
+        if active and self._lead is not before:
+            scans[id(self)] = scans.get(id(self), 0) + 1
+            pairs.append((self, self))
+        return lead
+
+    def monic(self, order=GREVLEX):
+        g = real_monic(self, order)
+        if active:
+            pairs.append((self, g))
+        return g
+
+    def buchberger(ring, generators, order=GREVLEX):
+        nonlocal active
+        scans.clear()
+        pairs.clear()
+        active = True
+        try:
+            basis = real_buchberger(ring, generators, order)
+        finally:
+            active = False
+        for f, g in pairs:
+            count = scans.get(id(f), 0) + (scans.get(id(g), 0) if g is not f else 0)
+            assert count <= 1, (ring, order, f, g)
+        calls.append(len(pairs))
+        return basis
+
+    calls: list[int] = []
+    monkeypatch.setattr(Polynomial, "leading_term", leading_term)
+    monkeypatch.setattr(Polynomial, "monic", monic)
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    for seed in range(DEFAULT_SEED, DEFAULT_SEED + 4):
+        run_properties(seed)
+    assert len(calls) == 3_093 and sum(calls) > 3_093
