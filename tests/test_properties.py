@@ -235,6 +235,7 @@ def test_buchberger_scans_each_lead_once(monkeypatch):
     real_lead, real_monic, real_buchberger = Polynomial.leading_term, Polynomial.monic, groebner.buchberger
     scans: dict[int, int] = {}
     pairs: list[tuple[Polynomial, Polynomial]] = []  # also keeps every id alive
+    calls: list[int] = []  # the pairs seen in each buchberger call
     active = False
 
     def leading_term(self, order=GREVLEX):
@@ -266,7 +267,6 @@ def test_buchberger_scans_each_lead_once(monkeypatch):
         calls.append(len(pairs))
         return basis
 
-    calls: list[int] = []
     monkeypatch.setattr(Polynomial, "leading_term", leading_term)
     monkeypatch.setattr(Polynomial, "monic", monic)
     monkeypatch.setattr(groebner, "buchberger", buchberger)
