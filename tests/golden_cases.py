@@ -1,11 +1,14 @@
 """The golden CLI invocations: shared by the CLI tests and the acceptance
 determinism criterion.  Each case pins argv, the expected exit code, and
-(when frozen is True) a byte-exact output file under tests/golden/."""
+(when frozen is True) a byte-exact output file under tests/golden/.  This
+table is the one place the CLI's byte-exact output is checked: every golden
+file, the input grid_small.txt aside, belongs to a frozen case."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import warnings
 from pathlib import Path
 
 from fitt.cli import main
@@ -133,35 +136,6 @@ CASES = [
         ["verify", "grid", "--file", str(GRID_SMALL), "--workers", "1", "--no-timing",
          "--format", "json"],
         1,
-        True,
-    ),
-    # the shipped grids pin the chart vector of every shipped tuple; under the
-    # paper policy the four s = 2 rows fail
-    (
-        "verify_grid_default",
-        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing"],
-        0,
-        True,
-    ),
-    (
-        "verify_grid_default_json",
-        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing",
-         "--format", "json"],
-        0,
-        True,
-    ),
-    (
-        "verify_grid_default_paper",
-        ["verify", "grid", "--file", str(GRIDS_DIR / "default.txt"), "--workers", "1", "--no-timing",
-         "--policy", "paper"],
-        1,
-        True,
-    ),
-    (
-        "verify_grid_stretch_json",
-        ["verify", "grid", "--file", str(GRIDS_DIR / "stretch.txt"), "--workers", "1", "--no-timing",
-         "--format", "json"],
-        0,
         True,
     ),
     # JSON shapes of the utility and construction verbs, plus text shapes of
@@ -315,12 +289,34 @@ CASES = [
         0,
         True,
     ),
+    # the default seed is where the benchmark's props rows start; seeds 1 and
+    # 42 are held out, and only their exit code is pinned
+    ("verify_props_default_json", ["verify", "props", "--format", "json"], 0, True),
+    ("verify_props_seed1", ["verify", "props", "--seed", "1"], 0, False),
+    ("verify_props_seed42", ["verify", "props", "--seed", "42"], 0, False),
 ]
 
 
+def grid_argv(grid: str, *flags: str) -> list[str]:
+    return ["verify", "grid", "--file", str(GRIDS_DIR / f"{grid}.txt"), "--no-timing", *flags]
+
+
+# The shipped grids pin the chart vector of every shipped tuple, as text and
+# as JSON; under the paper policy the four s = 2 rows of the default grid fail.
+SHIPPED_GRIDS = ("default", "stretch", "large")
+CASES += [
+    (f"verify_grid_{grid}{suffix}", grid_argv(grid, "--workers", "1", *flags), 0, True)
+    for grid in SHIPPED_GRIDS
+    for suffix, flags in (("", ()), ("_json", ("--format", "json")))
+]
+CASES.append(("verify_grid_default_paper", grid_argv("default", "--workers", "1", "--policy", "paper"), 1, True))
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Run the CLI in this process, with every warning raised as an error."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with warnings.catch_warnings(), contextlib.redirect_stdout(buf):
+        warnings.simplefilter("error")
         code = main(argv)
     return code, buf.getvalue()
 

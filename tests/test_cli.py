@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import jsonschema
 import pytest
 
 from fitt import properties
-from golden_cases import CASES, GOLDEN_DIR, golden_path, run_cli
+from golden_cases import CASES, GOLDEN_DIR, SHIPPED_GRIDS, golden_path, grid_argv, run_cli
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="utf-8"))
@@ -24,6 +26,25 @@ def test_golden(name, argv, expected_exit, frozen):
         assert out == expected, f"{name}: output differs from the frozen golden file"
     else:
         assert run_cli(argv) == (code, out), f"{name}: output differs between consecutive runs"
+
+
+def test_every_golden_file_belongs_to_a_frozen_case():
+    frozen = {golden_path(name).name for name, _, _, is_frozen in CASES if is_frozen}
+    assert {path.name for path in GOLDEN_DIR.iterdir()} - {"grid_small.txt"} == frozen
+
+
+@pytest.mark.parametrize(
+    "grid,workers", [(grid, ["--workers", "2"]) for grid in SHIPPED_GRIDS] + [("default", [])],
+    ids=[f"{grid}-workers-2" for grid in SHIPPED_GRIDS] + ["default-workers-default"],
+)
+def test_grid_through_the_pool_equals_the_serial_golden(grid, workers):
+    # a fresh interpreter, since fork warns under pytest's watchdog thread on
+    # Python 3.12 and later, and -W error would make that warning fatal
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fitt.cli", *grid_argv(grid, "--format", "json", *workers)],
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    ).stdout
+    assert out == golden_path(f"verify_grid_{grid}_json").read_bytes()
 
 
 class TestReportSchema:
@@ -80,6 +101,18 @@ class TestExitCodes:
     def test_bad_field_is_usage_error(self):
         code, _ = run_cli(["gb", "--field", "p=6", "--vars", "x", "--gens", "x"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        # 1763 = 41 * 43 has no factor at most 37, so only the witness loop sees it
+        (["gb", "--field", "p=1763", "--vars", "x", "--gens", "x"], "--field: characteristic 1763 is not prime"),
+        (["gb", "--field", "p=2", "--vars", ",", "--gens", "x"], "--vars needs at least one variable name"),
+        (["gb", "--field", "p=2", "--vars", "x"], "an ideal is required: pass --gens or --input"),
+        (["fitting", "--field", "rationals", "--vars", "x,y", "--matrix", "x,y;1", "--index", "0"],
+         "--matrix rows have unequal lengths"),
+    ], ids=["composite-field-past-trial-division", "no-vars", "no-ideal", "ragged-matrix"])
+    def test_usage_error_names_the_fault(self, capsys, argv, message):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("spec", ["p=0", "q", "qq", "0"])
     def test_undocumented_field_spellings_are_usage_errors(self, spec, capsys):

@@ -58,6 +58,16 @@ class TestMinors:
     def test_oversized_gives_nothing(self, diag_ab):
         assert minors(diag_ab.matrix, 3) == []
 
+    def test_negative_size_is_refused(self, diag_ab):
+        with pytest.raises(ValueError, match="^minor size must be nonnegative$"):
+            minors(diag_ab.matrix, -1)
+
+    @pytest.mark.parametrize("matrix", [(), ((),)], ids=["no-rows", "no-columns"])
+    def test_an_empty_matrix_needs_a_ring(self, rab, matrix):
+        with pytest.raises(ValueError, match="^ring required for minors of an empty matrix$"):
+            minors(matrix, 1)
+        assert minors(matrix, 0, rab) == [rab.one()]
+
     def test_three_by_three_against_cofactor_oracle(self):
         # oracle: cofactor expansion of a fully generic 3x3 matrix
         names = [f"m{i}{j}" for i in range(3) for j in range(3)]
@@ -239,6 +249,10 @@ class TestBaseChange:
         M2 = base_change(diag_ab, {}, rab)
         assert M2.matrix == diag_ab.matrix
         assert ideal_equal(M2.algebra.relations, diag_ab.algebra.relations)
+
+    def test_no_mapping_and_no_target_stays_in_the_ring(self, diag_ab, rab):
+        M2 = base_change(diag_ab, {})
+        assert M2.algebra.ring is rab and M2.matrix == diag_ab.matrix and M2.row_labels == diag_ab.row_labels
 
     def test_killing_a_variable_commutes(self):
         ring = PolyRing(QQ, ("xn", "y"))

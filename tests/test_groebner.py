@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,16 @@ class TestMembershipEquality:
         I = Ideal(rxy, [rxy.parse("x^2 - y"), rxy.parse("x*y - 1")])
         probe = rxy.parse("x^3 - x*y^2 + y - 1")
         assert ideal_member(probe, I, GREVLEX) == ideal_member(probe, I, LEX)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda f, g: reduce(f, [g]), "reducer in QQ[x,z], dividend in QQ[x,y]"),
+        (lambda f, g: ideal_member(f, Ideal(g.ring, [g])), "element in QQ[x,y], ideal in QQ[x,z]"),
+        (lambda f, g: ideal_equal(Ideal(f.ring, [f]), Ideal(g.ring, [g])), "ideals in QQ[x,y] and QQ[x,z]"),
+        (lambda f, g: ideal_intersect(Ideal(f.ring, [f]), Ideal(g.ring, [g])), "ideals in QQ[x,y] and QQ[x,z]"),
+    ], ids=["reduce", "ideal_member", "ideal_equal", "ideal_intersect"])
+    def test_operands_from_different_rings_raise(self, rxy, call, message):
+        with pytest.raises(RingMismatchError, match=f"^{re.escape(message)}$"):
+            call(rxy.variable("x"), PolyRing(QQ, ("x", "z")).variable("x"))
 
 
 class TestEliminate:

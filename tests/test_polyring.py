@@ -34,6 +34,7 @@ from fitt.polyring import (
     _KeyTable,
     add_terms,
     field_inverse,
+    is_prime,
     mono_degree,
     mono_div,
     mono_divides,
@@ -66,6 +67,11 @@ class TestCoefficientField:
     def test_rejects_oversized_characteristic(self):
         with pytest.raises(ValueError):
             CoefficientField(2**63 + 9)
+
+    def test_rejects_a_composite_past_trial_division(self):
+        # 1763 = 41 * 43 has no factor at most 37, so only the witness loop sees it
+        with pytest.raises(ValueError, match="^characteristic 1763 is not prime$"):
+            CoefficientField(1763)
 
     @pytest.mark.parametrize(
         "characteristic, type_name",
@@ -168,6 +174,24 @@ class TestCoefficientField:
             field.inverse(p)
 
 
+class TestIsPrime:
+    def test_agrees_with_a_sieve_below_ten_to_the_five(self):
+        limit = 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+        for q in range(2, int(limit**0.5) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_to_the_first_bases_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**63 - 25])
+    def test_large_word_primes(self, n):
+        assert is_prime(n)
+
+
 class TestArithmetic:
     def test_difference_of_squares(self, rxy):
         x, y = rxy.variable("x"), rxy.variable("y")
@@ -238,6 +262,15 @@ class TestArithmetic:
         # as PolyRing.index, CoefficientField and ReesParams refuse a bool
         with pytest.raises(TypeError, match="must be an int, not bool"):
             rxy.parse(text) ** exponent
+
+    @pytest.mark.parametrize("text", ["x", "x + y"], ids=["term", "sum"])
+    def test_a_negative_power_is_a_value_error(self, rxy, text):
+        with pytest.raises(ValueError, match="^negative polynomial power$"):
+            rxy.parse(text) ** -1
+
+    def test_monic_of_zero_is_zero(self, rxy):
+        zero = rxy.zero()
+        assert zero.monic() is zero and zero.monic(LEX) is zero
 
     def test_single_term_power_past_the_cap_raises(self):
         ring = PolyRing(F5, ("x", "y"))
@@ -630,6 +663,10 @@ class TestRingIndex:
         with pytest.raises(UnknownVariableError):
             f.derivative(2)
 
+    def test_fresh_name_skips_every_taken_suffix(self, rxy):
+        assert rxy.fresh_name("w") == "w"
+        assert PolyRing(QQ, ("w", "w1", "x")).fresh_name("w") == "w2"
+
     @pytest.mark.parametrize("var", [False, True])
     def test_a_bool_is_not_a_position(self, rxy, var):
         with pytest.raises(UnknownVariableError, match=f"unknown variable {var}"):
@@ -658,6 +695,17 @@ class TestTransport:
         f = PolyRing(F5, names + ["z"]).parse("x*y + z")
         with pytest.raises(UnknownVariableError):
             f.transport(PolyRing(F5, names))
+
+    def test_another_field_raises(self, rxy):
+        with pytest.raises(RingMismatchError, match="^cannot transport between QQ and F_2$"):
+            rxy.variable("x").transport(PolyRing(F2, ("x", "y")))
+        with pytest.raises(RingMismatchError, match="^cannot substitute between QQ and F_2$"):
+            rxy.variable("x").substitute(PolyRing(F2, ("x", "y")), {})
+
+    def test_substitute_refuses_an_image_from_another_ring(self, rxy):
+        other = PolyRing(QQ, ("x", "z"))
+        with pytest.raises(RingMismatchError, match=r"^image of 'x' lives in QQ\[x,z\], not QQ\[x,y\]$"):
+            rxy.variable("x").substitute(rxy, {"x": other.variable("z")})
 
     def test_a_moved_variable_takes_its_new_field(self):
         f = PolyRing(F5, ("x", "y", "z")).parse("x*z^2 + y")

@@ -30,6 +30,14 @@ class TestReesParams:
         params = ReesParams(2, 3, 1, 2, (2, 2, 1))
         assert ReesParams.parse(params.flag_string()) == params
 
+    @pytest.mark.parametrize("text,message", [
+        ("p=2 n3 s=1 l=2 v=2,2,1", "expected key=value, got 'n3'"),
+        ("p=2 n=3 s=1 l=2 p=3 v=2,2,1", "duplicate key 'p'"),
+    ])
+    def test_parse_names_the_bad_chunk(self, text, message):
+        with pytest.raises(ReesParamsError, match=f"^{message}$"):
+            ReesParams.parse(text)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ReesParamsError):
             ReesParams.parse("p=2 n=3 s=1 l=2")
@@ -73,6 +81,7 @@ class TestReesParams:
             (ReesParams(2, 3, 1, 2, (2, 3, 1)), "must divide"),
             (ReesParams(2, 3, 1, 1, (2, 2, 2)), "must equal 1"),
             (ReesParams(2, 3, 0, 2, (2, 2, 2, 1)), "at least 1"),
+            (ReesParams(2, 0, 1, 1, ()), "^n=0 must be at least 1$"),
         ],
     )
     def test_validation_names_the_invariant(self, params, fragment):
@@ -136,6 +145,15 @@ class TestPresentation:
         listed = ci_rees_presentation(field, 3, [[1, 2], [2, 2], [3, 1]])
         assert listed is ci_rees_presentation(field, 3, ((1, 2), (2, 2), (3, 1)))
         assert len(listed.relations.generators) == 3
+
+    @pytest.mark.parametrize("powers,message", [
+        (((4, 1),), r"^generator index 4 outside 1\.\.3$"),
+        (((0, 1),), r"^generator index 0 outside 1\.\.3$"),
+        (((1, 0),), "^exponent 0 for x1 must be at least 1$"),
+    ])
+    def test_invalid_powers_name_the_fault(self, powers, message):
+        with pytest.raises(ReesParamsError, match=message):
+            ci_rees_presentation(CoefficientField(2), 3, powers)
 
     def test_invalid_powers_raise_on_every_call(self):
         for _ in range(2):
