@@ -8,8 +8,9 @@ what drives all the interesting Fitting ideals downstream.
 
 Fitt_i for i >= nvars is the unit ideal by the rank rule (the matrix has one
 row per variable), and kaehler_fitting returns it without building the
-matrix: a pruned chart with r <= l asks for exactly that index
-(docs/chart_fitting.md).
+matrix.  verify decides its charts r <= l by the same rule before it builds
+them (docs/chart_fitting.md); this guard serves every other caller, such as
+verify's charts r > l under the paper index with s >= 2.
 """
 
 from __future__ import annotations

@@ -159,26 +159,49 @@ def _rees_presentation(field: CoefficientField, n: int, powers: Powers) -> Prese
     return PresentedAlgebra(ring, _with_grevlex_basis(ring, binomials))
 
 
+def _unit_pivots(powers: Powers, r: int) -> frozenset[int]:
+    """The generator indices i != r with e_i = 1, which a pruned chart drops."""
+    return frozenset(i for i, e in powers if i != r and e == 1)
+
+
+def _chart_ring(field: CoefficientField, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> PolyRing:
+    """The ring of chart r without the x_i, i in dropped: the kept x's in
+    index order, then the U block, one U_i per generator index i != r in
+    generator order.  This is the one rule for which variables a chart
+    keeps."""
+    names = [f"x{i}" for i in range(1, n + 1) if i not in dropped]
+    names.extend(f"U{i}" for i, _ in powers if i != r)
+    return PolyRing(field, names)
+
+
+def _chart_on(ring: PolyRing, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:
+    """Chart r on the ring _chart_ring gives it: the binomials
+    x_i^{e_i} - U_i*x_r^{e_r} for i != r not in dropped, in generator order.
+    Each monomial is placed by position under _chart_ring's rule: x_i after
+    the kept x's below it, U_i after the kept x's and the U's before it."""
+    x_at = {i: k for k, i in enumerate(i for i in range(1, n + 1) if i not in dropped)}
+    xr = (x_at[r], dict(powers)[r])
+    u = len(x_at)  # the position of the next U
+    gens = []
+    for i, e in powers:
+        if i == r:
+            continue
+        if i not in dropped:
+            gens.append(ring.from_terms((
+                (mono_from_pairs(((x_at[i], e),)), 1),
+                (mono_from_pairs((xr, (u, 1))), -1),
+            )))
+        u += 1
+    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
+
+
 def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:
     """Chart r with the unit pivots x_i, i in dropped, substituted out; the
     one builder of both chart presentations below."""
     _check_powers(n, powers)
-    exponents = dict(powers)
-    if r not in exponents:
+    if r not in dict(powers):
         raise ReesParamsError(f"chart index {r} is not a generator index")
-    names = [f"x{i}" for i in range(1, n + 1) if i not in dropped]
-    names.extend(f"U{i}" for i, _ in powers if i != r)
-    ring = PolyRing(field, names)
-    xr = (ring.index(f"x{r}"), exponents[r])
-    gens = [
-        ring.from_terms((
-            (mono_from_pairs(((ring.index(f"x{i}"), e),)), 1),
-            (mono_from_pairs((xr, (ring.index(f"U{i}"), 1))), -1),
-        ))
-        for i, e in powers
-        if i != r and i not in dropped
-    ]
-    return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
+    return _chart_on(_chart_ring(field, n, powers, r, dropped), n, powers, r, dropped)
 
 
 def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
@@ -207,7 +230,20 @@ def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers
     So Fitt_i is the same ideal, transported, at the same index i.  This is
     not the free-summand shift Fitt_{i+1}(M + free) = Fitt_i(M): no free
     summand is split off, and the module is unchanged."""
-    return _chart(field, n, powers, r, frozenset(i for i, e in powers if i != r and e == 1))
+    return _chart(field, n, powers, r, _unit_pivots(powers, r))
+
+
+def ci_pruned_chart_ring(field: CoefficientField, n: int, powers: Powers, r: int) -> PolyRing:
+    """The ring of ci_pruned_chart_presentation's chart r, built without its
+    relations, so a caller can read its variable count first.  It checks
+    nothing: the caller passes powers that chart would accept."""
+    return _chart_ring(field, n, powers, r, _unit_pivots(powers, r))
+
+
+def ci_pruned_chart_on(ring: PolyRing, n: int, powers: Powers, r: int) -> ChartAlgebra:
+    """ci_pruned_chart_presentation's chart r, on the ring that
+    ci_pruned_chart_ring built for it; it checks nothing either."""
+    return _chart_on(ring, n, powers, r, _unit_pivots(powers, r))
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:

@@ -21,7 +21,12 @@ Every chart Fitting ideal comes from one route, _chart_fittings, on the pruned
 presentation (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
 equals U_j*x_r^{v_r} there, so dropping it and its relation gives an
 isomorphic algebra with the same differentials, and the Fitting index does
-not change.  thm41 and cor42 compare on the pruned ring.  image works in
+not change.  thm41 and cor42 compare on the pruned ring.  A chart r <= l
+whose chart index reaches its pruned ring's variable count is decided by
+rank before its relations are built: its Fitting ideal is the unit ideal by
+the rank rule (Eisenbud, Commutative Algebra, ch. 20), and so is its target,
+by definition.  That is every chart r <= l under the corrected index
+(docs/chart_fitting.md).  image works in
 the full chart ring R, where the pruned Fitting ideal F' pulls back to
 F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.  R
 lists x_1..x_n before the U block, so groebner.contract takes F'R + J to
@@ -68,7 +73,8 @@ from .rees import (
     ReesParamsError,
     chart_presentation,
     ci_chart_presentation,
-    ci_pruned_chart_presentation,
+    ci_pruned_chart_on,
+    ci_pruned_chart_ring,
     micali_kernel,
     rees_presentation,
 )
@@ -209,14 +215,26 @@ def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[
     pruned chart's Fitt at chart_fitting_index and cor42's target ideal.  A
     chart missing from the row's memo is built and stored when reached, so a
     caller computes only the charts it reaches, and its ms for a chart
-    counts the build when it builds it.  Callers validate params."""
+    counts the build when it builds it.  A build starts with the chart's
+    ring.  When r <= l and the index reaches the ring's variable count, both
+    ideals are the unit ideal, and one unit Ideal is stored as both, so
+    ideal_equal returns at its generator test: no relations, Jacobian or
+    target are built.  Otherwise the relations are built on that ring, and
+    kaehler_fitting and _chart_expected give the pair.  Callers validate
+    params."""
     index = chart_fitting_index(params, policy)
     memo = _row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
-    for r in range(first, params.n + 1):
+    field, n, powers = params.field, params.n, params.powers()
+    for r in range(first, n + 1):
         pair = memo.get(r)
         if pair is None:
-            chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
-            pair = memo[r] = (kaehler_fitting(chart.algebra, index), _chart_expected(params, chart))
+            ring = ci_pruned_chart_ring(field, n, powers, r)
+            if r <= params.l and index >= ring.nvars:
+                unit = Ideal(ring, (ring.one(),))
+                pair = memo[r] = (unit, unit)
+            else:
+                chart = ci_pruned_chart_on(ring, n, powers, r)
+                pair = memo[r] = (kaehler_fitting(chart.algebra, index), _chart_expected(params, chart))
         yield r, *pair
 
 

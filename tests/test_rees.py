@@ -12,7 +12,9 @@ from fitt.rees import (
     chart_presentation,
     ci_chart_presentation,
     ci_micali_kernel,
+    ci_pruned_chart_on,
     ci_pruned_chart_presentation,
+    ci_pruned_chart_ring,
     ci_rees_presentation,
     exceptional_ideal,
     micali_kernel,
@@ -403,15 +405,26 @@ def _chart_sweep():
                 yield CoefficientField(p), n, powers
 
 
+def _pruned_chart_in_two_steps(field, n, powers, r):
+    """The pruned chart as verify builds it: its ring first, then the relations on it."""
+    return ci_pruned_chart_on(ci_pruned_chart_ring(field, n, powers, r), n, powers, r)
+
+
 def test_chart_relations_are_the_binomials_of_ring_arithmetic():
     """Both chart builders, at every chart index, list the same relations as
     the arithmetic reference: same order, same terms in the same order, and
-    every coefficient in [0, p)."""
+    every coefficient in [0, p).  So does the pruned chart built in two
+    steps, ring first, as verify builds it."""
     cases = 0
+    builders = (
+        (False, ci_chart_presentation),
+        (True, ci_pruned_chart_presentation),
+        (True, _pruned_chart_in_two_steps),
+    )
     for field, n, powers in _chart_sweep():
         p = field.characteristic
         for r, _ in powers:
-            for pruned, build in ((False, ci_chart_presentation), (True, ci_pruned_chart_presentation)):
+            for pruned, build in builders:
                 chart = build(field, n, powers, r)
                 ring = chart.algebra.ring
                 got = chart.algebra.relations.generators

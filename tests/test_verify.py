@@ -289,6 +289,42 @@ def test_chart_variable_count_on_every_corrected_row(params):
         assert chart.algebra.ring.nvars == (index if r <= params.l else index + 1), r
 
 
+# the three negative controls of the benchmark's grid workload
+NEGATIVE_CONTROLS = [("p=2 n=3 s=2 l=2 v=2,1", "paper"), ("p=2 n=3 s=1 l=2 v=2,2,1", 4), ("p=2 n=3 s=1 l=2 v=2,2,1", 6)]
+
+
+def _rank_route_cases():
+    rows = shipped_grid() + read_grid(STRETCH_FILE) + read_grid(LARGE_FILE)
+    # the explicit index is one below the corrected one: there every chart
+    # r <= l falls one short of its variable count, and must take the slow route
+    cases = [(params, policy) for params in rows for policy in ("corrected", "paper", fitting_index(params, "corrected") - 1)]
+    cases += [(ReesParams.parse(text), policy) for text, policy in NEGATIVE_CONTROLS]
+    return [pytest.param(params, policy, id=f"{params.flag_string()} {policy}") for params, policy in cases]
+
+
+@pytest.mark.parametrize("params,policy", _rank_route_cases())
+def test_rank_decided_charts_match_the_slow_route(params, policy):
+    """cor42 decides a chart r <= l whose chart index reaches its pruned
+    ring's n + l - s variables by rank, before it builds the chart: it stores
+    one unit ideal as both its Fitting ideal and its target.  Every other
+    chart is built.  Each rank-decided verdict and both of its ideals must
+    match the slow route: the pruned chart, kaehler_fitting, _chart_expected
+    and ideal_equal."""
+    fitt.verify._row_memo.cache_clear()
+    verdicts = dict(_verdicts(corollary42_details(params, policy)))
+    index = chart_fitting_index(params, policy)
+    decided = sorted(r for r, (fitting, target) in _memo(params, policy).items() if fitting is target)
+    reach = index >= params.n + params.l - params.s
+    assert decided == (list(range(params.s, params.l + 1)) if reach else [])
+    for r in decided:
+        fitting, target = _memo(params, policy)[r]
+        chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
+        slow_fitting = kaehler_fitting(chart.algebra, index)
+        slow_target = fitt.verify._chart_expected(params, chart)
+        assert ideal_equal(fitting, slow_fitting) and ideal_equal(target, slow_target), r
+        assert verdicts[r] == ideal_equal(slow_fitting, slow_target), r
+
+
 class TestImageEqualsCenter:
     def test_plane_blowup_contraction(self):
         params = ReesParams(2, 2, 1, 1, (2, 1))
@@ -571,8 +607,9 @@ class TestRowMemo:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of kaehler_fitting and _chart_expected calls through fitt.verify."""
-        counts = {"fitting": 0, "expected": 0}
+        """Counts of chart ring builds, kaehler_fitting and _chart_expected
+        calls through fitt.verify.  Every chart build starts with its ring."""
+        counts = {"ring": 0, "fitting": 0, "expected": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -581,20 +618,33 @@ class TestRowMemo:
 
             return wrapper
 
+        monkeypatch.setattr(fitt.verify, "ci_pruned_chart_ring", counting("ring", fitt.verify.ci_pruned_chart_ring))
         monkeypatch.setattr(fitt.verify, "kaehler_fitting", counting("fitting", fitt.verify.kaehler_fitting))
         monkeypatch.setattr(fitt.verify, "_chart_expected", counting("expected", fitt.verify._chart_expected))
         return counts
 
     @pytest.mark.parametrize("text", ["p=3 n=4 s=2 l=3 v=3,3,1", "p=3 n=6 s=1 l=2 v=3,9,1,1,1,1"])
     def test_evaluate_params_computes_each_chart_once(self, calls, text):
+        # the charts r <= l are decided by rank: built no further than their ring
         params = ReesParams.parse(text)
         assert evaluate_params(params).status == "pass"
-        assert calls == {"fitting": params.n - params.s + 1, "expected": params.n - params.s + 1}
+        assert calls == {"ring": params.n - params.s + 1, "fitting": params.n - params.l, "expected": params.n - params.l}
+
+    def test_rank_decided_charts_call_neither_fitting_nor_target(self, calls):
+        # at index 6 (chart index 5) charts 1 and 2 reach their 4 variables;
+        # at index 4 (chart index 3) they fall one short, so each takes the slow route
+        params = ReesParams.parse("p=2 n=3 s=1 l=2 v=2,2,1")
+        assert _verdicts(corollary42_details(params, 6)) == [(1, True), (2, True), (3, False)]
+        assert calls == {"ring": 3, "fitting": 1, "expected": 1}
+        memo = _memo(params, 6)
+        assert all(memo[r][0] is memo[r][1] and memo[r][0].generators == (memo[r][0].ring.one(),) for r in (1, 2))
+        assert _verdicts(corollary42_details(params, 4)) == [(1, False), (2, False), (3, False)]
+        assert calls == {"ring": 6, "fitting": 4, "expected": 4}
 
     def test_image_alone_computes_only_its_charts_and_no_verdicts(self, calls):
         params = ReesParams.parse("p=2 n=7 s=2 l=3 v=2,4,1,1,1,1")
         assert image_details(params)[0]
-        assert calls["fitting"] == params.n - params.l
+        assert calls == {"ring": params.n - params.l, "fitting": params.n - params.l, "expected": params.n - params.l}
         # a cor42 verdict would leave a reduced basis on both ideals of its chart
         memo = _memo(params)
         assert sorted(memo) == list(range(params.l + 1, params.n + 1))
@@ -615,9 +665,10 @@ class TestRowMemo:
     def test_corollary_after_image_builds_only_the_charts_image_left(self, calls, text, policy):
         params = ReesParams.parse(text)
         image_details(params, policy)
-        before = calls["fitting"]
+        before = dict(calls)
         after_image = _verdicts(corollary42_details(params, policy))
-        assert calls["fitting"] - before == params.l - params.s + 1
+        # the charts image left are r <= l, and each is decided by rank
+        assert calls == {**before, "ring": before["ring"] + params.l - params.s + 1}
         fitt.verify._row_memo.cache_clear()
         assert after_image == _verdicts(corollary42_details(params, policy))
 
