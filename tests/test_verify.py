@@ -313,11 +313,12 @@ def test_rank_decided_charts_match_the_slow_route(params, policy):
     fitt.verify._row_memo.cache_clear()
     verdicts = dict(_verdicts(corollary42_details(params, policy)))
     index = chart_fitting_index(params, policy)
-    decided = sorted(r for r, (fitting, target) in _memo(params, policy).items() if fitting is target)
+    memo = _memo(params, policy)
+    decided = sorted(r for r, (fitting, target) in memo.items() if fitting is target)
     reach = index >= params.n + params.l - params.s
     assert decided == (list(range(params.s, params.l + 1)) if reach else [])
     for r in decided:
-        fitting, target = _memo(params, policy)[r]
+        fitting, target = memo[r]
         chart = ci_pruned_chart_presentation(params.field, params.n, params.powers(), r)
         slow_fitting = kaehler_fitting(chart.algebra, index)
         slow_target = fitt.verify._chart_expected(params, chart)
