@@ -6,12 +6,14 @@ and yields an `(ok, describe)` pair per law it checks.  `run_properties` seeds
 each suite off one run seed, so a run is reproducible end to end.  Suites
 return trial/failure counts; the CLI and the test suite both consume them.
 
-Every integer draw goes through the module's own getrandbits helper _below,
-with _randint and _choice on top of it.  They read the same bits as
-Random.randint, choice and randrange and return the same numbers, so the
-instances are fixed by fitt's code rather than by the interpreter's randint;
-tests/test_properties.py checks the helpers against Random and pins the
-instance stream with a digest.  Random.random is called as it is.
+Every integer draw is made by the module's own getrandbits helper _below,
+with _randint and _choice on top of it, or by _below's loop written out in
+_rand_monomial and _rand_poly, which draw the most and so save a frame a
+draw.  They read the same bits as Random.randint, choice and randrange and
+return the same numbers, so the instances are fixed by fitt's code rather
+than by the interpreter's randint.  tests/test_properties.py checks the
+helpers against Random, holds the written-out draws to the helpers, and pins
+the instance stream with a digest.  Random.random is called as it is.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ from .polyring import (
     GREVLEX,
     LEX,
     ONE_MONOMIAL,
+    Coeff,
     CoefficientField,
     MonomialOrder,
     Monomial,
     PolyRing,
     Polynomial,
     _SlotRecord,
+    add_terms,
     mono_divides,
     mono_mul,
     mono_pairs,
@@ -111,24 +115,54 @@ def _choice(rng: random.Random, seq):
 
 def _rand_monomial(rng: random.Random, nvars: int, max_deg: int, min_deg: int = 0) -> Monomial:
     """A budget drawn from min_deg..max_deg, spent on the variables in index
-    order; redrawn until at least min_deg of it is spent."""
+    order; redrawn until at least min_deg of it is spent.  Each draw is
+    _below's loop written out, so the bits read are _below's."""
     if min_deg > max_deg or (nvars <= 0 and min_deg > 0):
         raise ValueError(
             f"no monomial in {nvars} variables has degree {min_deg}..{max_deg}"
         )
+    bits = rng.getrandbits
+    span = max_deg - min_deg + 1
+    k = span.bit_length()
     while True:
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
         mono = 0
-        total = budget = min_deg + _below(rng, max_deg - min_deg + 1)
-        for idx in range(nvars):
+        total = budget = min_deg + r
+        for shift in range(0, FIELD_BITS * nvars, FIELD_BITS):
             if budget <= 0:
                 break
-            e = _below(rng, budget + 1)
+            n = budget + 1
+            kn = n.bit_length()
+            e = bits(kn)
+            while e >= n:
+                e = bits(kn)
             if e:
                 # packed as mono_from_pairs packs it; e is at most max_deg
-                mono |= e << (FIELD_BITS * idx)
+                mono |= e << shift
                 budget -= e
         if total - budget >= min_deg:
             return mono
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# The coefficients -4..4 of _rand_poly as elements of each field, and the
+# variable names x1..xn of a ring for each count n.
+_COEFFICIENTS = _Memo(lambda field: tuple(field.normalize(c) for c in range(-4, 5)))
+_NAMES = _Memo(lambda nvars: tuple(f"x{i}" for i in range(1, nvars + 1)))
 
 
 def _rand_poly(
@@ -138,18 +172,37 @@ def _rand_poly(
     max_deg: int = 3,
     min_deg: int = 0,
 ) -> Polynomial:
+    """1..max_terms terms, each a coefficient drawn from -4..4 and then a
+    _rand_monomial, summed as ring.from_terms sums them.  The count and the
+    coefficients are _randint's draws, written out."""
+    if max_terms < 1:
+        raise ValueError(f"empty range for a draw below {max_terms}")
+    field = ring.field
+    coefficients = _COEFFICIENTS[field]
+    bits = rng.getrandbits
     nvars = ring.nvars
-    terms = []
-    for _ in range(_randint(rng, 1, max_terms)):
-        c = _randint(rng, -4, 4)
-        terms.append((_rand_monomial(rng, nvars, max_deg, min_deg), c))
-    return ring.from_terms(terms)
+    k = max_terms.bit_length()
+    count = bits(k)
+    while count >= max_terms:
+        count = bits(k)
+    terms: dict[Monomial, Coeff] = {}
+    for _ in range(count + 1):
+        c = bits(4)  # -4..4 is 9 values, 4 bits
+        while c >= 9:
+            c = bits(4)
+        c = coefficients[c]
+        m = _rand_monomial(rng, nvars, max_deg, min_deg)
+        if m in terms:  # the sum is made by add_terms, as in from_terms
+            add_terms(terms, 1, ONE_MONOMIAL, {m: c}, field)
+        elif c:
+            terms[m] = c
+    return Polynomial(ring, terms)
 
 
 def _rand_ring(rng: random.Random, fields=_FIELDS, max_vars: int = 3, min_vars: int = 1) -> PolyRing:
     fld = _choice(rng, fields)
     nvars = _randint(rng, min_vars, max_vars)
-    return PolyRing(fld, [f"x{i}" for i in range(1, nvars + 1)])
+    return PolyRing(fld, _NAMES[nvars])
 
 
 def _ring_axioms(rng: random.Random, k: int) -> Checks:
@@ -171,7 +224,7 @@ def _leibniz(rng: random.Random, k: int) -> Checks:
     trials over Q, the rest over F_p."""
     if k < 100:
         nvars = _randint(rng, 1, 3)
-        ring = PolyRing(CoefficientField(0), [f"x{i}" for i in range(1, nvars + 1)])
+        ring = PolyRing(CoefficientField(0), _NAMES[nvars])
     else:
         ring = _rand_ring(rng, _PRIME_FIELDS)
     f, g = _rand_poly(rng, ring), _rand_poly(rng, ring)

@@ -158,16 +158,18 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_cli_determinism():
-    """Every golden CLI invocation is byte-identical across two consecutive
-    runs, and matches the frozen golden file where one is committed."""
+    """Every golden CLI invocation exits with its expected code, and its
+    output is byte-identical across runs.  A frozen case runs once: its
+    committed golden file holds the bytes of an earlier run, so one equal run
+    shows the output repeats.  An unfrozen case runs twice in a row."""
     with criterion(7, "CLI determinism"):
         for name, argv, expected_exit, frozen in CASES:
-            code1, out1 = run_cli(argv)
-            code2, out2 = run_cli(argv)
-            assert code1 == code2 == expected_exit, name
-            assert out1 == out2, name
+            code, out = run_cli(argv)
+            assert code == expected_exit, name
             if frozen:
-                assert out1 == golden_path(name).read_text(encoding="utf-8"), name
+                assert out == golden_path(name).read_text(encoding="utf-8"), name
+            else:
+                assert run_cli(argv) == (code, out), name
 
 
 def test_grid_monotonicity_witness(grid_rows):

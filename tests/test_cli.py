@@ -17,8 +17,8 @@ SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="u
 @pytest.mark.parametrize("name,argv,expected_exit,frozen", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv, expected_exit, frozen):
     """A frozen case runs once against its golden file; an unfrozen one runs
-    twice against itself.  test_criterion_7_cli_determinism runs every case
-    twice in a row."""
+    twice against itself.  test_criterion_7_cli_determinism makes the same
+    runs as the acceptance criterion for CLI determinism."""
     code, out = run_cli(argv)
     assert code == expected_exit
     if frozen:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from fitt import groebner, properties
-from fitt.polyring import GREVLEX, ONE_MONOMIAL, Polynomial, mono_from_pairs, mono_pairs
+from fitt.polyring import GREVLEX, ONE_MONOMIAL, CoefficientField, PolyRing, Polynomial, mono_from_pairs, mono_pairs
 from fitt.properties import DEFAULT_SEED, properties_ok, run_properties
 
 
@@ -134,17 +134,81 @@ def test_below_and_choice_draw_what_random_draws(seed):
 
 
 def test_an_empty_range_raises_without_drawing():
+    """The helpers, and _rand_poly's written-out term count, which must not
+    loop on getrandbits(0)."""
     rng = random.Random(3)
     state = rng.getstate()
+    ring = PolyRing(CoefficientField(0), ["x1"])
     for draw in (
         lambda: properties._below(rng, 0),
         lambda: properties._below(rng, -3),
         lambda: properties._randint(rng, 1, 0),
         lambda: properties._choice(rng, ()),
+        lambda: properties._rand_poly(rng, ring, max_terms=0),
+        lambda: properties._rand_poly(rng, ring, max_terms=-1),
     ):
         with pytest.raises(ValueError, match="empty range"):
             draw()
     assert rng.getstate() == state
+
+
+def _composed_monomial(rng, nvars, max_deg, min_deg=0):
+    """_rand_monomial composed from _below and mono_from_pairs, one helper
+    call a draw: the reference its written-out loops must match."""
+    while True:
+        pairs = []
+        total = budget = min_deg + properties._below(rng, max_deg - min_deg + 1)
+        for idx in range(nvars):
+            if budget <= 0:
+                break
+            e = properties._below(rng, budget + 1)
+            if e:
+                pairs.append((idx, e))
+                budget -= e
+        if total - budget >= min_deg:
+            return mono_from_pairs(pairs)
+
+
+def _composed_poly(rng, ring, max_terms, max_deg, min_deg):
+    """_rand_poly composed from _randint, _composed_monomial and from_terms."""
+    terms = []
+    for _ in range(properties._randint(rng, 1, max_terms)):
+        c = properties._randint(rng, -4, 4)
+        terms.append((_composed_monomial(rng, ring.nvars, max_deg, min_deg), c))
+    return ring.from_terms(terms)
+
+
+# Every (max_terms, max_deg, min_deg) with 1 <= max_terms <= 6 and
+# 0 <= min_deg <= max_deg <= 5, and rings over Q, F_2, F_3, F_5 and F_7 in
+# 1 to 4 variables.
+_DEGREES = [(d, m) for d in range(6) for m in range(d + 1)]
+_DRAW_SHAPES = [(t, d, m) for t in range(1, 7) for d, m in _DEGREES]
+_DRAW_RINGS = [
+    PolyRing(CoefficientField(p), [f"x{i}" for i in range(1, n + 1)]) for p in (0, 2, 3, 5, 7) for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_written_out_draws_equal_the_composed_ones(seed):
+    """_rand_monomial and _rand_poly return what the helpers composed return,
+    term maps in the same insertion order, and leave the generator in the
+    same state after every draw.  Each seed pairs every shape with a ring,
+    shifted by the seed, so the 40 seeds cover every shape over every ring."""
+    ours, theirs = _twins(seed)
+    for nvars in range(5):
+        for max_deg, min_deg in _DEGREES:
+            if nvars == 0 and min_deg > 0:
+                continue
+            m = properties._rand_monomial(ours, nvars, max_deg, min_deg)
+            assert m == _composed_monomial(theirs, nvars, max_deg, min_deg), (nvars, max_deg, min_deg)
+            assert ours.getstate() == theirs.getstate(), (nvars, max_deg, min_deg)
+    for i, shape in enumerate(_DRAW_SHAPES):
+        ring = _DRAW_RINGS[(seed + i) % len(_DRAW_RINGS)]
+        f = properties._rand_poly(ours, ring, *shape)
+        g = _composed_poly(theirs, ring, *shape)
+        assert f.ring is g.ring and f.terms == g.terms, (ring, shape)
+        assert list(f.terms) == list(g.terms), (ring, shape)
+        assert ours.getstate() == theirs.getstate(), (ring, shape)
 
 
 @pytest.mark.parametrize(
