@@ -6,11 +6,8 @@ relation generator f contributes the column of partial derivatives df.  In
 characteristic p the derivative rule kills p-divisible exponents, which is
 what drives all the interesting Fitting ideals downstream.
 
-Fitt_i for i >= nvars is the unit ideal by the rank rule (the matrix has one
-row per variable), and kaehler_fitting returns it without building the
-matrix.  verify decides its charts r <= l by the same rule before it builds
-them (docs/chart_fitting.md); this guard serves every other caller, such as
-verify's charts r > l under the paper index with s >= 2.
+kaehler_fitting leaves the rank rule to fitmod.fitting_ideal: with one row
+per variable, Fitt_i for i >= nvars is the unit ideal there.
 """
 
 from __future__ import annotations
@@ -32,9 +29,5 @@ def kaehler_presentation(algebra: PresentedAlgebra) -> PresentedModule:
 
 
 def kaehler_fitting(algebra: PresentedAlgebra, i: int) -> Ideal:
-    """Fitt_i of the differentials, as an ambient ideal containing the relations.
-    For i >= nvars it is the unit ideal, returned before any matrix is built."""
-    ring = algebra.ring
-    if i >= ring.nvars:
-        return Ideal(ring, (ring.one(),))
+    """Fitt_i of the differentials, as an ambient ideal containing the relations."""
     return fitting_ideal(kaehler_presentation(algebra), i)

@@ -174,24 +174,21 @@ def _chart_ring(field: CoefficientField, n: int, powers: Powers, r: int, dropped
     return PolyRing(field, names)
 
 
-def _chart_on(ring: PolyRing, n: int, powers: Powers, r: int, dropped: frozenset[int]) -> ChartAlgebra:
-    """Chart r on the ring _chart_ring gives it: the binomials
-    x_i^{e_i} - U_i*x_r^{e_r} for i != r not in dropped, in generator order.
-    Each monomial is placed by position under _chart_ring's rule: x_i after
-    the kept x's below it, U_i after the kept x's and the U's before it."""
-    x_at = {i: k for k, i in enumerate(i for i in range(1, n + 1) if i not in dropped)}
-    xr = (x_at[r], dict(powers)[r])
-    u = len(x_at)  # the position of the next U
-    gens = []
-    for i, e in powers:
-        if i == r:
-            continue
-        if i not in dropped:
-            gens.append(ring.from_terms((
-                (mono_from_pairs(((x_at[i], e),)), 1),
-                (mono_from_pairs((xr, (u, 1))), -1),
-            )))
-        u += 1
+def ci_chart_on(ring: PolyRing, powers: Powers, r: int) -> ChartAlgebra:
+    """Chart r on a ring that _chart_ring built for it: the binomials
+    x_i^{e_i} - U_i*x_r^{e_r} for i != r, in generator order, skipping each
+    x_i the ring lacks.  Each monomial is placed by the ring's variable
+    names.  It checks nothing."""
+    at = ring.index
+    xr = (at(f"x{r}"), dict(powers)[r])
+    gens = [
+        ring.from_terms((
+            (mono_from_pairs(((at(f"x{i}"), e),)), 1),
+            (mono_from_pairs((xr, (at(f"U{i}"), 1))), -1),
+        ))
+        for i, e in powers
+        if i != r and f"x{i}" in ring.variables
+    ]
     return ChartAlgebra(r, PresentedAlgebra(ring, Ideal(ring, gens)))
 
 
@@ -201,7 +198,7 @@ def _chart(field: CoefficientField, n: int, powers: Powers, r: int, dropped: fro
     _check_powers(n, powers)
     if r not in dict(powers):
         raise ReesParamsError(f"chart index {r} is not a generator index")
-    return _chart_on(_chart_ring(field, n, powers, r, dropped), n, powers, r, dropped)
+    return ci_chart_on(_chart_ring(field, n, powers, r, dropped), powers, r)
 
 
 def ci_chart_presentation(field: CoefficientField, n: int, powers: Powers, r: int) -> ChartAlgebra:
@@ -235,15 +232,10 @@ def ci_pruned_chart_presentation(field: CoefficientField, n: int, powers: Powers
 
 def ci_pruned_chart_ring(field: CoefficientField, n: int, powers: Powers, r: int) -> PolyRing:
     """The ring of ci_pruned_chart_presentation's chart r, built without its
-    relations, so a caller can read its variable count first.  It checks
-    nothing: the caller passes powers that chart would accept."""
+    relations, so a caller can read its variable count before ci_chart_on
+    places them.  It checks nothing: the caller passes powers that chart
+    would accept."""
     return _chart_ring(field, n, powers, r, _unit_pivots(powers, r))
-
-
-def ci_pruned_chart_on(ring: PolyRing, n: int, powers: Powers, r: int) -> ChartAlgebra:
-    """ci_pruned_chart_presentation's chart r, on the ring that
-    ci_pruned_chart_ring built for it; it checks nothing either."""
-    return _chart_on(ring, n, powers, r, _unit_pivots(powers, r))
 
 
 def ci_micali_kernel(field: CoefficientField, n: int, powers: Powers) -> Ideal:

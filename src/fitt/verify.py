@@ -21,16 +21,18 @@ Every chart Fitting ideal comes from one route, _chart_fittings, on the pruned
 presentation (rees.ci_pruned_chart_presentation): every x_j with e_j = 1, j != r,
 equals U_j*x_r^{v_r} there, so dropping it and its relation gives an
 isomorphic algebra with the same differentials, and the Fitting index does
-not change.  thm41 and cor42 compare on the pruned ring.  A chart r <= l
-whose chart index reaches its pruned ring's variable count is decided by
-rank before its relations are built: its Fitting ideal is the unit ideal by
-the rank rule (Eisenbud, Commutative Algebra, ch. 20), and so is its target,
-by definition.  That is every chart r <= l under the corrected index
-(docs/chart_fitting.md).  image works in
-the full chart ring R, where the pruned Fitting ideal F' pulls back to
-F'R + J for the chart relations J: J contains each x_j - U_j*x_r^{v_r}.  R
-lists x_1..x_n before the U block, so groebner.contract takes F'R + J to
-k[x] directly.
+not change.  thm41 and cor42 compare on the pruned ring, built first
+(rees.ci_pruned_chart_ring), with rees.ci_chart_on placing the relations on
+it.  A chart r <= l whose chart index reaches that ring's variable count is
+decided by rank before its relations are built: its Fitting ideal is the
+unit ideal by the rank rule (Eisenbud, Commutative Algebra, ch. 20), and so
+is its target, by definition.  That is every chart r <= l under the
+corrected index (docs/chart_fitting.md).  Any other chart takes
+kaehler_fitting, where fitmod.fitting_ideal applies the same rule.  image
+works in the full chart ring R, where the pruned Fitting ideal F' pulls
+back to F'R + J for the chart relations J: J contains each
+x_j - U_j*x_r^{v_r}.  R lists x_1..x_n before the U block, so
+groebner.contract takes F'R + J to k[x] directly.
 
 image compares each chart's contraction with the center before it
 intersects any.  Under the corrected index every contraction is the center
@@ -72,8 +74,8 @@ from .rees import (
     ReesParams,
     ReesParamsError,
     chart_presentation,
+    ci_chart_on,
     ci_chart_presentation,
-    ci_pruned_chart_on,
     ci_pruned_chart_ring,
     micali_kernel,
     rees_presentation,
@@ -219,9 +221,9 @@ def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[
     ring.  When r <= l and the index reaches the ring's variable count, both
     ideals are the unit ideal, and one unit Ideal is stored as both, so
     ideal_equal returns at its generator test: no relations, Jacobian or
-    target are built.  Otherwise the relations are built on that ring, and
-    kaehler_fitting and _chart_expected give the pair.  Callers validate
-    params."""
+    target are built.  Otherwise ci_chart_on places the relations on that
+    ring, and kaehler_fitting and _chart_expected give the pair.  Callers
+    validate params."""
     index = chart_fitting_index(params, policy)
     memo = _row_memo(params.p, params.n, params.s, params.l, tuple(params.v), index)
     field, n, powers = params.field, params.n, params.powers()
@@ -233,7 +235,7 @@ def _chart_fittings(params: ReesParams, policy: Policy, first: int) -> Iterator[
                 unit = Ideal(ring, (ring.one(),))
                 pair = memo[r] = (unit, unit)
             else:
-                chart = ci_pruned_chart_on(ring, n, powers, r)
+                chart = ci_chart_on(ring, powers, r)
                 pair = memo[r] = (kaehler_fitting(chart.algebra, index), _chart_expected(params, chart))
         yield r, *pair
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from fitt import kaehler
 from fitt.fitmod import PresentedAlgebra, fitting_ideal
 from fitt.groebner import Ideal, ideal_equal
 from fitt.kaehler import kaehler_fitting, kaehler_presentation
@@ -117,7 +116,7 @@ def test_rees_generator_count():
 
 
 # ---------------------------------------------------------------------------
-# The Jacobian's coefficients, and the unit-ideal guard of kaehler_fitting.
+# The Jacobian's coefficients, and kaehler_fitting's unit ideal by rank.
 
 
 def _random_algebra(rng, characteristic):
@@ -190,27 +189,22 @@ def _pruned_charts_of_the_grids():
                 yield params, ci_pruned_chart_presentation(params.field, params.n, params.powers(), r).algebra
 
 
-class TestUnitIdealGuard:
-    """For i >= nvars kaehler_fitting returns fitting_ideal's generators, the
-    unit ideal, without building the presentation."""
-
-    def _check(self, algebras, monkeypatch):
-        presentations = [(A, kaehler_presentation(A)) for A in algebras]
-        with monkeypatch.context() as patch:
-            patch.setattr(kaehler, "kaehler_presentation", self._refuse)
-            for A, presentation in presentations:
-                for i in (A.ring.nvars, A.ring.nvars + 1):
-                    assert kaehler_fitting(A, i).generators == fitting_ideal(presentation, i).generators, i
+class TestUnitIdealByRank:
+    """For i >= nvars kaehler_fitting returns fitting_ideal's generators on
+    the Jacobian, the unit ideal by the rank rule."""
 
     @staticmethod
-    def _refuse(algebra):
-        raise AssertionError("the presentation was built for a unit Fitting ideal")
+    def _check(algebras):
+        for A in algebras:
+            presentation, unit = kaehler_presentation(A), (A.ring.one(),)
+            for i in (A.ring.nvars, A.ring.nvars + 1):
+                assert kaehler_fitting(A, i).generators == fitting_ideal(presentation, i).generators == unit, i
 
-    def test_random_algebras(self, monkeypatch):
-        self._check(list(_random_algebras()), monkeypatch)
+    def test_random_algebras(self):
+        self._check(_random_algebras())
 
-    def test_every_pruned_chart_of_the_grids(self, monkeypatch):
-        self._check([A for _, A in _pruned_charts_of_the_grids()], monkeypatch)
+    def test_every_pruned_chart_of_the_grids(self):
+        self._check(A for _, A in _pruned_charts_of_the_grids())
 
 
 # ---------------------------------------------------------------------------
